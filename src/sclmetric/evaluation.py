@@ -6,11 +6,24 @@ is monotone).  Galleries are sequences of ``(subject_id, embedding)``
 pairs; when a subject has several gallery images its distance to a probe
 is the minimum over them.
 
-Deterministic tie/ordering contracts (tests hold independent
+Every distance comes from one matrix kernel, :func:`_distances`, held to
+the scalar contract of :func:`sclmetric.losses.squared_euclidean`: squared
+coordinate differences are accumulated left to right over the feature
+axis in float64, then square-rooted.  It serves the (probe, gallery) block
+for identification, the (gallery, probe) block for the inter-class
+statistic, the paired rows of verification, and the row norms of
+normalization, computing large blocks a fixed number of rows at a time.
+
+Deterministic tie/ordering contracts (tests hold independent scalar
 implementations to them bit-exactly):
 
-* :func:`identify` sorts subjects by (distance, subject_id) ascending;
+* :func:`identify` sorts subjects by (distance, subject_id) ascending; a
+  probe's rank is ``#{d < d_true} + #{d == d_true and sid < sid_true}``
+  over its per-subject minimum distances, so ranks are counted without
+  sorting;
 * CMC values and accept rates are plain ``count / n`` fractions;
+* FAR and GAR at a threshold are counts of scores ``<=`` it, read off the
+  sorted scores with a right-sided binary search;
 * :func:`gar_at_far` thresholds come from the observed score grid (the
   union of genuine and imposter scores) - the largest grid value whose
   empirical FAR does not exceed the target, with no interpolation; if even
@@ -18,7 +31,8 @@ implementations to them bit-exactly):
   accepts nothing (FAR 0, GAR 0);
 * :func:`mean_inter_class_distance` accumulates left to right over gallery
   entries (outer) and probes (inner), skipping same-subject pairs, then
-  divides once by the pair count;
+  divides once by the pair count; the sum is sequential (``np.cumsum``
+  carried across row blocks), never numpy's pairwise ``np.sum``;
 * aggregate mean and std (population, ddof 0) are computed by the same
   sequential-sum rule.
 
@@ -32,13 +46,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
 from . import mining, model, training
 from .dataset import Dataset, GalleryProbePartition, Sample, SplitSpec, Subclass, gallery_probe_partition, subject_split
-from .errors import DataError, ProtocolError
-from .losses import euclidean_distance, squared_euclidean
+from .errors import DataError, DimensionMismatchError, ProtocolError
+
+# Distance blocks hold at most this many float64 entries (1 MiB); larger
+# cross blocks are computed a slice of rows at a time.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -99,12 +117,70 @@ def extract_embeddings(m: model.ModelParams, samples) -> list[np.ndarray]:
     return [model.forward(m, s.embedding)[0] for s in samples]
 
 
-def _normalize_rows(vectors) -> list[np.ndarray]:
-    out = []
-    for v in vectors:
-        norm = math.sqrt(squared_euclidean(v, np.zeros_like(v)))
-        out.append(v / norm if norm > 0.0 else v)
-    return out
+def _matrix(vectors) -> np.ndarray:
+    """Stack equal-length vectors into an (n, d) float64 matrix."""
+    rows = [np.asarray(v, dtype=np.float64) for v in vectors]
+    if not rows:
+        return np.empty((0, 0))
+    if any(r.ndim != 1 or r.shape != rows[0].shape for r in rows):
+        raise DimensionMismatchError(f"embeddings differ in shape: {sorted({r.shape for r in rows})}")
+    return np.array(rows).reshape(len(rows), -1)
+
+
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of ``a`` and ``b``, broadcast
+    over every axis but the last (the feature axis).
+
+    Squared differences are summed left to right over the features with
+    in-place ufuncs, exactly as :func:`sclmetric.losses.squared_euclidean`
+    does for one pair, so every entry carries its bits.
+    """
+    if a.shape[-1] != b.shape[-1]:
+        raise DimensionMismatchError(f"embedding dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    total = np.zeros(shape)
+    diff = np.empty(shape)
+    for k in range(a.shape[-1]):
+        np.subtract(a[..., k], b[..., k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(total, diff, out=total)
+    return np.sqrt(total, out=total)
+
+
+def _cross_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(start, block)`` with ``block[i, j]`` the distance from
+    ``a[start + i]`` to ``b[j]``, a bounded number of rows at a time."""
+    if len(a) == 0 or len(b) == 0:
+        return
+    step = max(1, _BLOCK_ELEMENTS // len(b))
+    bt = b[None, :, :]
+    for start in range(0, len(a), step):
+        yield start, _distances(a[start : start + step, None, :], bt)
+
+
+def _normalize(x: np.ndarray) -> np.ndarray:
+    """Divide each row by its Euclidean norm; zero-norm rows stay unchanged."""
+    norms = _distances(x, np.zeros(x.shape[1]))
+    return x / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Where each run of equal values starts in a sorted array.
+
+    (``np.unique`` would do, but its first call imports ``numpy.ma``.)
+    """
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
+def _subject_minimum(d: np.ndarray, sids: np.ndarray):
+    """Reduce distance columns to one per subject by minimum.
+
+    Returns the ascending distinct subject ids and the reduced block.
+    """
+    order = np.argsort(sids, kind="stable")
+    sorted_sids = sids[order]
+    starts = _run_starts(sorted_sids)
+    return sorted_sids[starts], np.minimum.reduceat(d[:, order], starts, axis=1)
 
 
 def identify(probe_embedding, gallery) -> list[int]:
@@ -117,12 +193,15 @@ def identify(probe_embedding, gallery) -> list[int]:
     """
     if not gallery:
         raise ProtocolError("identify needs a nonempty gallery")
-    best: dict[int, float] = {}
-    for subject_id, emb in gallery:
-        d = euclidean_distance(probe_embedding, emb)
-        if subject_id not in best or d < best[subject_id]:
-            best[subject_id] = d
-    return [sid for sid, _ in sorted(best.items(), key=lambda kv: (kv[1], kv[0]))]
+    sids = np.array([sid for sid, _ in gallery])
+    d = _distances(_matrix([probe_embedding])[:, None, :], _matrix([emb for _, emb in gallery])[None])
+    subjects, d = _subject_minimum(d, sids)
+    return subjects[np.lexsort((subjects, d[0]))].tolist()
+
+
+def _curve(hits, n: int, unenrolled: int) -> CmcCurve:
+    """The CMC from per-rank hit counts: cumulative ``count / n``."""
+    return CmcCurve(tuple(c / n for c in accumulate(hits)), unenrolled)
 
 
 def cmc_curve(rankings) -> CmcCurve:
@@ -145,13 +224,28 @@ def cmc_curve(rankings) -> CmcCurve:
             hits[ranked.index(true_subject)] += 1
         else:
             unenrolled += 1
-    n = len(rankings)
-    values = []
-    cum = 0
-    for k in range(gallery_size):
-        cum += hits[k]
-        values.append(cum / n)
-    return CmcCurve(tuple(values), unenrolled)
+    return _curve(hits, len(rankings), unenrolled)
+
+
+def _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids) -> CmcCurve:
+    """The CMC of every probe against the gallery, ranks counted per block."""
+    if len(probe_emb) == 0:
+        raise ProtocolError("cmc_curve needs at least one probe ranking")
+    if len(gallery_emb) == 0:
+        raise ProtocolError("identify needs a nonempty gallery")
+    ranks = []
+    for start, block in _cross_blocks(probe_emb, gallery_emb):
+        subjects, d = _subject_minimum(block, gallery_sids)
+        sids = probe_sids[start : start + len(d)]
+        col = np.minimum(np.searchsorted(subjects, sids), len(subjects) - 1)
+        enrolled = subjects[col] == sids
+        d, col = d[enrolled], col[enrolled]
+        d_true = d[np.arange(len(d)), col][:, None]
+        before = np.arange(len(subjects))[None, :] < col[:, None]
+        ranks.append(np.count_nonzero((d < d_true) | ((d == d_true) & before), axis=1))
+    ranks = np.concatenate(ranks)
+    hits = np.bincount(ranks, minlength=len(subjects)).tolist()
+    return _curve(hits, len(probe_emb), len(probe_emb) - len(ranks))
 
 
 def rank_k_accuracy(curve: CmcCurve, k: int) -> float:
@@ -161,26 +255,38 @@ def rank_k_accuracy(curve: CmcCurve, k: int) -> float:
 
 
 def verification_scores(pairs, m: model.ModelParams) -> VerificationReport:
-    """Distance per pair, partitioned by label into genuine/imposter scores."""
+    """Distance per pair, partitioned by label into genuine/imposter scores.
+
+    Each distinct sample object is mapped through the network once.
+    """
     pairs = list(pairs)
     if not pairs:
         raise ProtocolError("verification needs at least one pair")
-    genuine = []
-    imposter = []
-    for pair in pairs:
-        e1, _ = model.forward(m, pair.first.embedding)
-        e2, _ = model.forward(m, pair.second.embedding)
-        d = euclidean_distance(e1, e2)
-        (genuine if pair.label == 0 else imposter).append(d)
-    return VerificationReport(tuple(genuine), tuple(imposter))
+    cache: dict[int, np.ndarray] = {}
+
+    def embed(sample):
+        if id(sample) not in cache:
+            cache[id(sample)] = model.forward(m, sample.embedding)[0]
+        return cache[id(sample)]
+
+    first = _matrix([embed(p.first) for p in pairs])
+    second = _matrix([embed(p.second) for p in pairs])
+    scores = _distances(first, second)
+    genuine = np.array([p.label == 0 for p in pairs])
+    return VerificationReport(tuple(scores[genuine].tolist()), tuple(scores[~genuine].tolist()))
 
 
-def _far(imposter, threshold: float) -> float:
-    return sum(1 for s in imposter if s <= threshold) / len(imposter)
-
-
-def _gar(genuine, threshold: float) -> float:
-    return sum(1 for s in genuine if s <= threshold) / len(genuine)
+def _sweep(report: VerificationReport):
+    """The sorted score grid with FAR and GAR at each grid threshold."""
+    if not report.genuine_scores or not report.imposter_scores:
+        raise ProtocolError("gar_at_far needs both genuine and imposter scores")
+    genuine = np.sort(np.asarray(report.genuine_scores, dtype=np.float64))
+    imposter = np.sort(np.asarray(report.imposter_scores, dtype=np.float64))
+    scores = np.sort(np.concatenate([genuine, imposter]))
+    grid = scores[_run_starts(scores)]
+    far = np.searchsorted(imposter, grid, side="right") / len(imposter)
+    gar = np.searchsorted(genuine, grid, side="right") / len(genuine)
+    return grid, far, gar
 
 
 def gar_at_far(report: VerificationReport, target_fars) -> VerificationReport:
@@ -191,38 +297,39 @@ def gar_at_far(report: VerificationReport, target_fars) -> VerificationReport:
     target (conservative, no interpolation); the achieved FAR is reported
     alongside.
     """
-    if not report.genuine_scores or not report.imposter_scores:
-        raise ProtocolError("gar_at_far needs both genuine and imposter scores")
-    grid = sorted(set(report.genuine_scores) | set(report.imposter_scores))
+    grid, far, gar = _sweep(report)
     entries = []
     for target in target_fars:
         if not 0.0 < target <= 1.0:
             raise ProtocolError(f"target FAR must be in (0, 1], got {target}")
-        chosen = None
-        for t in grid:
-            if _far(report.imposter_scores, t) <= target:
-                chosen = t
-            else:
-                break
-        if chosen is None:
-            threshold = math.nextafter(grid[0], -math.inf)
+        i = int(np.searchsorted(far, target, side="right")) - 1
+        if i < 0:
+            threshold = math.nextafter(float(grid[0]), -math.inf)
             entries.append(GarFarEntry(target, 0.0, 0.0, threshold))
         else:
-            entries.append(
-                GarFarEntry(
-                    target,
-                    _far(report.imposter_scores, chosen),
-                    _gar(report.genuine_scores, chosen),
-                    chosen,
-                )
-            )
+            entries.append(GarFarEntry(target, float(far[i]), float(gar[i]), float(grid[i])))
     return replace(report, gar_at_far=tuple(entries))
 
 
 def far_gar_sweep(report: VerificationReport):
     """(threshold, far, gar) at every observed score, for curve export."""
-    grid = sorted(set(report.genuine_scores) | set(report.imposter_scores))
-    return [(t, _far(report.imposter_scores, t), _gar(report.genuine_scores, t)) for t in grid]
+    grid, far, gar = _sweep(report)
+    return list(zip(grid.tolist(), far.tolist(), gar.tolist()))
+
+
+def _inter_class_mean(gallery_sids, gallery_emb, probe_sids, probe_emb, normalize: bool) -> float:
+    if normalize:
+        gallery_emb = _normalize(gallery_emb)
+        probe_emb = _normalize(probe_emb)
+    total = 0.0
+    count = 0
+    for start, block in _cross_blocks(gallery_emb, probe_emb):
+        cross = gallery_sids[start : start + len(block), None] != probe_sids[None, :]
+        total = float(np.cumsum(np.concatenate(([total], block[cross])))[-1])
+        count += int(np.count_nonzero(cross))
+    if count == 0:
+        raise ProtocolError("inter-class distance needs at least 2 subjects")
+    return total / count
 
 
 def mean_inter_class_distance(gallery, probes, m: model.ModelParams, normalize: bool) -> float:
@@ -235,21 +342,11 @@ def mean_inter_class_distance(gallery, probes, m: model.ModelParams, normalize: 
     """
     gallery = list(gallery)
     probes = list(probes)
-    g_emb = [model.forward(m, emb)[0] for _, emb in gallery]
-    p_emb = [model.forward(m, emb)[0] for _, emb in probes]
-    if normalize:
-        g_emb = _normalize_rows(g_emb)
-        p_emb = _normalize_rows(p_emb)
-    total = 0.0
-    count = 0
-    for (g_sid, _), ge in zip(gallery, g_emb):
-        for (p_sid, _), pe in zip(probes, p_emb):
-            if g_sid != p_sid:
-                total += euclidean_distance(ge, pe)
-                count += 1
-    if count == 0:
-        raise ProtocolError("inter-class distance needs at least 2 subjects")
-    return total / count
+    g_emb = _matrix([model.forward(m, emb)[0] for _, emb in gallery])
+    p_emb = _matrix([model.forward(m, emb)[0] for _, emb in probes])
+    g_sids = np.array([sid for sid, _ in gallery])
+    p_sids = np.array([sid for sid, _ in probes])
+    return _inter_class_mean(g_sids, g_emb, p_sids, p_emb, normalize)
 
 
 def extend_gallery(partition: GalleryProbePartition, distractors) -> GalleryProbePartition:
@@ -299,6 +396,11 @@ def sample_verification_pairs(ds: Dataset, n_per_label: int, seed: int):
     return genuine + imposter
 
 
+def _embed(params: model.ModelParams, samples):
+    """Subject ids and the (n, d) embedding matrix of ``samples``."""
+    return np.array([s.subject_id for s in samples]), _matrix(extract_embeddings(params, samples))
+
+
 def evaluate_model(
     params: model.ModelParams,
     test_ds: Dataset,
@@ -316,29 +418,24 @@ def evaluate_model(
     Identification uses a single-image gallery (optionally extended with
     distractors); requested ranks beyond the gallery size are dropped.  The
     inter-class statistic is computed on the unextended gallery so that it
-    stays comparable across runs.
+    stays comparable across runs.  Every gallery and probe sample is mapped
+    through the network once.
     """
     part = gallery_probe_partition(test_ds, single_image_gallery=True)
-    base_gallery = [(s.subject_id, s.embedding) for s in part.gallery]
     eval_part = extend_gallery(part, distractors) if distractors else part
-    gallery_inputs = [(s.subject_id, s.embedding) for s in eval_part.gallery]
+    gallery_sids, gallery_emb = _embed(params, eval_part.gallery)
+    probe_sids, probe_emb = _embed(params, part.probe)
 
-    gallery_emb = [
-        (sid, model.forward(params, emb)[0]) for sid, emb in gallery_inputs
-    ]
-    rankings = []
-    for probe in eval_part.probe:
-        probe_emb, _ = model.forward(params, probe.embedding)
-        rankings.append((probe.subject_id, identify(probe_emb, gallery_emb)))
-    curve = cmc_curve(rankings)
+    curve = _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids)
     usable_ranks = tuple(k for k in ranks if 1 <= k <= len(curve.values))
     accuracies = {k: rank_k_accuracy(curve, k) for k in usable_ranks}
 
     pairs = sample_verification_pairs(test_ds, verification_pairs, pair_seed)
     verification = gar_at_far(verification_scores(pairs, params), target_fars)
 
-    probe_inputs = [(s.subject_id, s.embedding) for s in part.probe]
-    icd = mean_inter_class_distance(base_gallery, probe_inputs, params, normalize)
+    # extend_gallery appends distractors, so the base gallery leads.
+    base = len(part.gallery)
+    icd = _inter_class_mean(gallery_sids[:base], gallery_emb[:base], probe_sids, probe_emb, normalize)
 
     return RepetitionResult(
         repetition=repetition,
@@ -347,7 +444,7 @@ def evaluate_model(
         verification=verification,
         mean_inter_class_distance=icd,
         gallery_size=len(curve.values),
-        n_probes=len(rankings),
+        n_probes=len(probe_emb),
     )
 
 

@@ -22,6 +22,7 @@ a save/load round trip reproduces parameters bit-exactly.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -229,15 +230,24 @@ def save_checkpoint(m: ModelParams, metadata: dict, path) -> None:
         fh.write(meta_bytes)
 
 
+def _bytes_left(fh) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
+
+
 def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
+    # Checked before reading, so a mangled size never turns into a huge read.
+    if n > _bytes_left(fh):
         raise CheckpointError(f"corrupt checkpoint: truncated while reading {what}")
-    return data
+    return fh.read(n)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint, refusing unknown versions and mangled files."""
+    """Read a checkpoint, refusing unknown versions and mangled files.
+
+    The layer sizes the header declares are checked against the bytes left
+    in the file before any weight is read, so a mangled header fails as
+    :class:`CheckpointError` instead of asking for a huge read.
+    """
     with open(path, "rb") as fh:
         if _read_exact(fh, len(_MAGIC), "magic") != _MAGIC:
             raise CheckpointError("corrupt checkpoint: bad magic string")
@@ -255,6 +265,11 @@ def load_checkpoint(path) -> Checkpoint:
             if act not in _ACT_NAMES or out_dim == 0 or in_dim == 0:
                 raise CheckpointError(f"corrupt checkpoint: bad layer {li} header")
             shapes.append((out_dim, in_dim, _ACT_NAMES[act]))
+        declared = sum(8 * out_dim * in_dim + 8 * out_dim for out_dim, in_dim, _ in shapes)
+        if declared + 4 > _bytes_left(fh):
+            raise CheckpointError(
+                f"corrupt checkpoint: truncated, layers declare {declared} bytes, {_bytes_left(fh)} left"
+            )
         layers = []
         for li, (out_dim, in_dim, act) in enumerate(shapes):
             wbuf = _read_exact(fh, 8 * out_dim * in_dim, f"layer {li} weights")

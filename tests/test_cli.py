@@ -1,6 +1,7 @@
 """CLI subcommands: files produced, exit codes, determinism, composition."""
 
 import json
+import struct
 
 import pytest
 
@@ -221,6 +222,16 @@ class TestEval:
         assert main(["synth", "--config", str(other_cfg), "--out", str(other_out)]) == 0
         rc = main(["eval", ckpt, str(other_out / "dataset.csv"), "--config", cfg, "--out", str(tmp_path / "x")])
         assert rc == 3
+
+    def test_overflowing_checkpoint_header_exit_3(self, tmp_path, trained, capsys):
+        cfg, data, ckpt = trained
+        mangled = bytearray(open(ckpt, "rb").read())
+        mangled[16:24] = struct.pack("<II", 2**32 - 1, 2**32 - 1)  # first layer's out, in
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(mangled))
+        rc = main(["eval", str(bad), data, "--config", cfg, "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert "corrupt checkpoint" in capsys.readouterr().err
 
 
 class TestCompare:

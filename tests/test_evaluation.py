@@ -474,3 +474,109 @@ class TestEvaluateModel:
         distractors = [(1000 + k, np.random.default_rng(k).normal(size=16)) for k in range(10)]
         res = evaluate_model(m, ds, distractors=distractors, verification_pairs=5)
         assert res.gallery_size == ds.n_subjects + 10
+
+
+# --- whole-path differential test ------------------------------------------------
+
+
+def oracle_unit(v):
+    norm = math.sqrt(sum(x * x for x in list(v)))
+    return [x / norm for x in list(v)] if norm > 0.0 else list(v)
+
+
+def oracle_evaluate(params, test_ds, distractors, ranks, target_fars, normalize, n_pairs, pair_seed):
+    """evaluate_model re-derived from the scalar oracles, one pair at a time."""
+
+    def emb(x):
+        return model.forward(params, x)[0]
+
+    part = gallery_probe_partition(test_ds, single_image_gallery=True)
+    gallery = [(s.subject_id, emb(s.embedding)) for s in part.gallery]
+    extended = gallery + [(sid, emb(e)) for sid, e in distractors]
+    probes = [(s.subject_id, emb(s.embedding)) for s in part.probe]
+    cmc = oracle_cmc([(sid, oracle_identify(p, extended)) for sid, p in probes])
+    pairs = evaluation.sample_verification_pairs(test_ds, n_pairs, pair_seed)
+    scores = [(p.label, oracle_distance(emb(p.first.embedding), emb(p.second.embedding))) for p in pairs]
+    genuine = [d for label, d in scores if label == 0]
+    imposter = [d for label, d in scores if label == 1]
+    unit = oracle_unit if normalize else list
+    icd = oracle_mean_inter_class([(sid, unit(e)) for sid, e in gallery], [(sid, unit(e)) for sid, e in probes])
+    return {
+        "cmc": cmc,
+        "ranks": {k: cmc[k - 1] for k in ranks if k <= len(cmc)},
+        "genuine": genuine,
+        "imposter": imposter,
+        "gar_at_far": [oracle_gar_far(genuine, imposter, t) for t in target_fars],
+        "icd": icd,
+    }
+
+
+def grid_dataset(rng, subject_ids, dim, n_non=2, n_inj=3, zero_gallery_row=False):
+    """Integer-grid embeddings, so that many distances tie exactly."""
+    samples = []
+    for sid in subject_ids:
+        for subclass, count in ((Subclass.NON_INJURED, n_non), (Subclass.INJURED, n_inj)):
+            for k in range(count):
+                samples.append(Sample(sid, subclass, k, rng.integers(-2, 3, size=dim).astype(float)))
+    if zero_gallery_row:  # the first subject's enrolled image
+        samples[0] = Sample(subject_ids[0], Subclass.NON_INJURED, 0, np.zeros(dim))
+    return Dataset.from_samples(dim, samples)
+
+
+class TestEvaluateModelDifferential:
+    """evaluate_model equals the scalar oracles exactly (``==``), on inputs
+    built to hit distance ties, duplicated distractors and zero-norm rows, and
+    with distance blocks small enough to split every matrix."""
+
+    RANKS = (1, 2, 5, 10, 100)
+    TARGETS = (0.01, 0.1, 0.25, 0.5, 1.0)
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("trial", range(6))
+    def test_matches_scalar_oracles(self, monkeypatch, block, trial):
+        if block is not None:
+            monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(100 + trial)
+        dim = int(rng.integers(2, 5))
+        subject_ids = [int(s) for s in rng.choice(np.arange(5, 60), size=int(rng.integers(3, 9)), replace=False)]
+        ds = grid_dataset(rng, subject_ids, dim, zero_gallery_row=trial % 2 == 0)
+        # Distractors copy enrolled images, under ids both below and above the
+        # true subjects', so that exact ties fall on either side of the id order.
+        enrolled = [r.non_injured[0].embedding for r in ds.subjects]
+        distractors = [(k, enrolled[k % len(enrolled)]) for k in range(3)]
+        distractors += [(1000 + k, rng.integers(-2, 3, size=dim).astype(float)) for k in range(3)]
+        params = model.identity_model(dim) if trial < 3 else model.init_model([dim, 5, 3], seed=trial)
+        normalize = trial % 3 != 2
+        res = evaluate_model(
+            params, ds, ranks=self.RANKS, target_fars=self.TARGETS, normalize=normalize,
+            verification_pairs=12, distractors=distractors, pair_seed=trial,
+        )
+        expected = oracle_evaluate(params, ds, distractors, self.RANKS, self.TARGETS, normalize, 12, trial)
+        assert list(res.cmc.values) == expected["cmc"]
+        assert res.rank_accuracies == expected["ranks"]
+        assert list(res.verification.genuine_scores) == expected["genuine"]
+        assert list(res.verification.imposter_scores) == expected["imposter"]
+        got = [(e.threshold, e.achieved_far, e.gar) for e in res.verification.gar_at_far]
+        assert got == expected["gar_at_far"]
+        assert res.mean_inter_class_distance == expected["icd"]
+
+    def test_zero_norm_row_survives_normalization(self):
+        m = model.identity_model(3)
+        gallery = [(0, np.zeros(3)), (1, np.array([3.0, 0.0, 4.0]))]
+        probes = [(0, np.array([1.0, 2.0, 2.0])), (1, np.zeros(3)), (2, np.array([0.0, -2.0, 0.0]))]
+        expected = oracle_mean_inter_class(
+            [(sid, oracle_unit(e)) for sid, e in gallery], [(sid, oracle_unit(e)) for sid, e in probes]
+        )
+        assert mean_inter_class_distance(gallery, probes, m, normalize=True) == expected
+
+    def test_multi_image_gallery_with_ties(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            dim = int(rng.integers(1, 4))
+            gallery = [
+                (int(rng.integers(0, 6)), rng.integers(-2, 3, size=dim).astype(float))
+                for _ in range(int(rng.integers(1, 15)))
+            ]
+            gallery.append(gallery[0])  # an exact duplicate image
+            probe = rng.integers(-2, 3, size=dim).astype(float)
+            assert identify(probe, gallery) == oracle_identify(probe, gallery)

@@ -1,5 +1,7 @@
 """Embedding network: init, forward/backward, freezing, and checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,57 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CheckpointError, match="trailing"):
             model.load_checkpoint(path)
+
+
+class TestCheckpointFuzz:
+    """Every truncation and every mangled header size fails as CheckpointError,
+    before the loader asks for more bytes than the file holds."""
+
+    HEADER = 16  # magic, version, layer count; then 9 bytes per layer
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(init_model([5, 8, 4], seed=9), {"epoch": 3}, path)
+        return path, path.read_bytes()
+
+    def test_truncated_at_every_offset(self, saved):
+        path, data = saved
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(CheckpointError):
+                model.load_checkpoint(path)
+
+    def test_mangled_layer_dimensions(self, saved):
+        path, data = saved
+        big = 2**32 - 1
+        for li, (out_dim, in_dim) in enumerate([(8, 5), (4, 8)]):
+            offset = self.HEADER + 9 * li
+            for dims in [
+                (big, big), (big, in_dim), (out_dim, big), (in_dim, out_dim),
+                (out_dim + 1, in_dim), (out_dim, in_dim + 1), (out_dim - 1, in_dim), (out_dim, in_dim - 1),
+            ]:
+                mangled = bytearray(data)
+                mangled[offset : offset + 8] = struct.pack("<II", *dims)
+                path.write_bytes(bytes(mangled))
+                with pytest.raises(CheckpointError):
+                    model.load_checkpoint(path)
+
+    def test_mangled_layer_count(self, saved):
+        path, data = saved
+        for n_layers in (1, 3, 2**16, 2**32 - 1):
+            mangled = bytearray(data)
+            mangled[12:16] = struct.pack("<I", n_layers)
+            path.write_bytes(bytes(mangled))
+            with pytest.raises(CheckpointError):
+                model.load_checkpoint(path)
+
+    def test_mangled_metadata_length(self, saved):
+        path, data = saved
+        meta_at = self.HEADER + 18 + 8 * (8 * 5 + 8 + 4 * 8 + 4)
+        for meta_len in (0, 2**32 - 1):
+            mangled = bytearray(data)
+            mangled[meta_at : meta_at + 4] = struct.pack("<I", meta_len)
+            path.write_bytes(bytes(mangled))
+            with pytest.raises(CheckpointError):
+                model.load_checkpoint(path)
