@@ -33,6 +33,7 @@ from .errors import (
 )
 from .evaluation import (
     CmcCurve,
+    EvalConfig,
     EvalReport,
     GarFarEntry,
     RepetitionResult,

@@ -5,6 +5,16 @@ Every command is deterministic given (config, inputs), and every report
 embeds the fully resolved config and seed.  Exit codes: 0 ok, 2 config
 error, 3 data error, 4 numeric failure.
 
+The config sections ``synth``, ``split``, ``train`` and ``eval`` are
+exactly the fields of :class:`~sclmetric.dataset.SynthConfig`,
+:class:`~sclmetric.dataset.SplitSpec`, :class:`~sclmetric.training.TrainConfig`
+and :class:`~sclmetric.evaluation.EvalConfig`: the accepted keys, their JSON
+types and their defaults (the easy synthetic preset for ``synth``) all come
+from those dataclasses, and each section is built by its dataclass, which
+range-checks it.  Unknown keys, values of the wrong JSON type (list entries
+included) and out-of-range values are config errors, raised before any
+input is read.  Resolved values are embedded exactly as given.
+
 Seed resolution order: ``--seed`` flag, then the config file, then the
 ``SCLMETRIC_SEED`` environment variable, then 0.  Section-level seeds
 (``synth.seed`` etc.) override the global seed for that section only.
@@ -29,117 +39,64 @@ exactly.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
+import typing
 import warnings
+from dataclasses import asdict, fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import evaluation, model, presets, reporting, training
 from .dataset import Dataset, SplitSpec, SynthConfig, generate_synthetic, load_embeddings, save_embeddings, subject_split
 from .errors import ConfigError, DataError, NumericError, SclMetricError
+from .evaluation import EvalConfig
 from .training import TrainConfig
 
-_NUM = (int, float)
-
-_SCHEMA = {
-    "seed": (int,),
-    "synth": {
-        "n_subjects": (int,),
-        "dim": (int,),
-        "n_non_injured": (int,),
-        "n_injured": (int,),
-        "subject_radius": _NUM,
-        "sigma_n": _NUM,
-        "sigma_i": _NUM,
-        "injury_shift": _NUM,
-        "n_injury_modes": (int,),
-        "seed": (int,),
-    },
-    "split": {
-        "train_fraction": _NUM,
-        "repetitions": (int,),
-        "seed": (int,),
-    },
-    "train": {
-        "loss": (str,),
-        "learning_rate": _NUM,
-        "epochs": (int,),
-        "batch_size": (int,),
-        "alpha1": _NUM,
-        "alpha2": _NUM,
-        "cl_margin": _NUM,
-        "tl_margin": _NUM,
-        "per_subject": (int,),
-        "freeze": (int,),
-        "hidden_dims": (list,),
-        "optimizer": (str,),
-        "batch_reduction": (str,),
-        "seed": (int,),
-    },
-    "eval": {
-        "target_fars": (list,),
-        "ranks": (list,),
-        "normalize": (bool,),
-        "verification_pairs": (int,),
-    },
+# Each config section is exactly the fields of its dataclass, with the
+# defaults of the instance the second entry makes.  Sections with a seed
+# field take the global seed unless they set their own.
+_SECTIONS = {
+    "synth": (SynthConfig, presets.easy_synth_config),
+    "split": (SplitSpec, partial(SplitSpec, 0)),
+    "train": (TrainConfig, TrainConfig),
+    "eval": (EvalConfig, EvalConfig),
 }
 
 
-def _default_config() -> dict:
-    synth = presets.easy_synth_config()
-    train = TrainConfig()
-    return {
-        "seed": None,
-        "synth": {
-            "n_subjects": synth.n_subjects,
-            "dim": synth.dim,
-            "n_non_injured": synth.n_non_injured,
-            "n_injured": synth.n_injured,
-            "subject_radius": synth.subject_radius,
-            "sigma_n": synth.sigma_n,
-            "sigma_i": synth.sigma_i,
-            "injury_shift": synth.injury_shift,
-            "n_injury_modes": synth.n_injury_modes,
-        },
-        "split": {"train_fraction": 0.7, "repetitions": 5},
-        "train": {
-            "loss": train.loss,
-            "learning_rate": train.learning_rate,
-            "epochs": train.epochs,
-            "batch_size": train.batch_size,
-            "alpha1": train.alpha1,
-            "alpha2": train.alpha2,
-            "cl_margin": train.cl_margin,
-            "tl_margin": train.tl_margin,
-            "per_subject": train.per_subject,
-            "freeze": train.freeze,
-            "hidden_dims": list(train.hidden_dims),
-            "optimizer": train.optimizer,
-            "batch_reduction": train.batch_reduction,
-        },
-        "eval": {
-            "target_fars": [0.01, 0.1],
-            "ranks": [1, 5, 10],
-            "normalize": True,
-            "verification_pairs": 50,
-        },
-    }
+def _accepts(hint, value) -> bool:
+    """Whether a JSON value fits a field type: ``float`` takes ints too,
+    only ``bool`` takes booleans, and ``tuple[T, ...]`` is a list of T."""
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_accepts(typing.get_args(hint)[0], v) for v in value)
+    if isinstance(value, bool) != (hint is bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _validate_section(section: str, values: dict, schema: dict) -> None:
+def _type_name(hint) -> str:
+    if typing.get_origin(hint) is tuple:
+        return f"a list of {_type_name(typing.get_args(hint)[0])}"
+    return hint.__name__
+
+
+def _check_value(key: str, value, hint) -> None:
+    if not _accepts(hint, value):
+        raise ConfigError(f"config key {key!r} must be {_type_name(hint)}")
+
+
+def _check_section(name: str, values) -> None:
+    if not isinstance(values, dict):
+        raise ConfigError(f"config key {name!r} must be an object")
+    cls = _SECTIONS[name][0]
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in fields(cls)}
     for key, value in values.items():
-        if key not in schema:
-            raise ConfigError(f"unknown config key {section}{key!r}")
-        expected = schema[key]
-        if isinstance(expected, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {section}{key!r} must be an object")
-            _validate_section(f"{key}.", value, expected)
-        elif not isinstance(value, expected) or isinstance(value, bool) and bool not in expected:
-            names = "/".join(t.__name__ for t in expected)
-            raise ConfigError(f"config key {section}{key!r} must be {names}")
+        path = f"{name}.{key}"
+        if key not in names:
+            raise ConfigError(f"unknown config key {path!r}")
+        _check_value(path, value, hints[key])
 
 
 def _load_config(path) -> dict:
@@ -152,18 +109,14 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    _validate_section("", data, _SCHEMA)
-    return data
-
-
-def _merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _merge(merged[key], value)
+    for key, value in data.items():
+        if key == "seed":
+            _check_value(key, value, int)
+        elif key in _SECTIONS:
+            _check_section(key, value)
         else:
-            merged[key] = value
-    return merged
+            raise ConfigError(f"unknown config key {key!r}")
+    return data
 
 
 def _env_seed() -> int | None:
@@ -176,17 +129,18 @@ def _env_seed() -> int | None:
         raise ConfigError(f"SCLMETRIC_SEED must be an integer, got {raw!r}") from None
 
 
-def _resolve_config(args) -> dict:
-    cfg = _default_config()
-    if args.config:
-        cfg = _merge(cfg, _load_config(args.config))
-
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if cfg["seed"] is None:
-        cfg["seed"] = _env_seed()
-    if cfg["seed"] is None:
-        cfg["seed"] = 0
+def _resolve_config(args) -> tuple[dict, dict]:
+    """The resolved config document, as reports embed it, and the
+    dataclass each section builds."""
+    user = _load_config(args.config) if args.config else {}
+    seed = args.seed if args.seed is not None else user.get("seed")
+    if seed is None:
+        seed = _env_seed()
+    cfg = {"seed": 0 if seed is None else seed}
+    for name, (cls, make_default) in _SECTIONS.items():
+        default = make_default()
+        cfg[name] = {f.name: getattr(default, f.name) for f in fields(cls) if f.name != "seed"}
+        cfg[name].update(user.get(name, {}))
 
     flag_map = {
         "loss": ("train", "loss"),
@@ -214,42 +168,12 @@ def _resolve_config(args) -> dict:
         else:
             raise ConfigError("--margin applies to --loss cl or tl; use --alpha1/--alpha2 for scl")
 
-    cfg["synth"].setdefault("seed", cfg["seed"])
-    cfg["split"].setdefault("seed", cfg["seed"])
-    cfg["train"].setdefault("seed", cfg["seed"])
-    return cfg
-
-
-def _synth_config(cfg: dict) -> SynthConfig:
-    return SynthConfig(**cfg["synth"])
-
-
-def _split_spec(cfg: dict) -> SplitSpec:
-    return SplitSpec(
-        seed=cfg["split"]["seed"],
-        train_fraction=cfg["split"]["train_fraction"],
-        repetitions=cfg["split"]["repetitions"],
-    )
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        loss=t["loss"],
-        learning_rate=t["learning_rate"],
-        epochs=t["epochs"],
-        batch_size=t["batch_size"],
-        alpha1=t["alpha1"],
-        alpha2=t["alpha2"],
-        cl_margin=t["cl_margin"],
-        tl_margin=t["tl_margin"],
-        per_subject=t["per_subject"],
-        seed=t["seed"],
-        freeze=t["freeze"],
-        hidden_dims=tuple(t["hidden_dims"]),
-        optimizer=t["optimizer"],
-        batch_reduction=t["batch_reduction"],
-    )
+    built = {}
+    for name, (cls, _) in _SECTIONS.items():
+        if any(f.name == "seed" for f in fields(cls)):
+            cfg[name].setdefault("seed", cfg["seed"])
+        built[name] = cls(**cfg[name])
+    return cfg, built
 
 
 def _out_dir(args) -> Path:
@@ -283,30 +207,29 @@ def _load_distractors(path):
 
 
 def cmd_synth(args) -> int:
-    cfg = _resolve_config(args)
+    _, conf = _resolve_config(args)
     out = _out_dir(args)
-    ds = generate_synthetic(_synth_config(cfg))
+    ds = generate_synthetic(conf["synth"])
     path = out / "dataset.csv"
     save_embeddings(ds, path)
     print(f"wrote {path} ({ds.n_subjects} subjects, dim {ds.dimension})")
     return 0
 
 
-def _training_dataset(ds: Dataset, cfg: dict, repetition: int | None):
+def _training_dataset(ds: Dataset, conf: dict, repetition: int | None):
     """Full dataset, or the train side of one split repetition (with the
     repetition-derived seed the compare protocol uses)."""
-    train_cfg = _train_config(cfg)
     if repetition is None:
-        return ds, train_cfg
-    train_ds, _ = subject_split(ds, _split_spec(cfg), repetition)
-    return train_ds, training.config_for_repetition(train_cfg, repetition)
+        return ds, conf["train"]
+    train_ds, _ = subject_split(ds, conf["split"], repetition)
+    return train_ds, training.config_for_repetition(conf["train"], repetition)
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, conf = _resolve_config(args)
     out = _out_dir(args)
     ds = _load_dataset(args.dataset)
-    train_ds, train_cfg = _training_dataset(ds, cfg, args.repetition)
+    train_ds, train_cfg = _training_dataset(ds, conf, args.repetition)
     params, log = training.train(train_ds, train_cfg)
     meta = {
         "loss": train_cfg.loss,
@@ -325,35 +248,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _evaluate_checkpoint(params, ds: Dataset, cfg: dict, repetitions, distractors):
-    spec = _split_spec(cfg)
-    ev = cfg["eval"]
-    results = []
-    for rep in repetitions:
-        _, test_ds = subject_split(ds, spec, rep)
-        results.append(
-            evaluation.evaluate_model(
-                params,
-                test_ds,
-                repetition=rep,
-                ranks=tuple(ev["ranks"]),
-                target_fars=tuple(ev["target_fars"]),
-                normalize=ev["normalize"],
-                verification_pairs=ev["verification_pairs"],
-                distractors=distractors,
-                pair_seed=training.derive_seed(spec.seed, rep, 7),
-            )
-        )
-    return evaluation.aggregate_results(
-        results,
-        tuple(ev["ranks"]),
-        extended_gallery=distractors is not None,
-        normalized=ev["normalize"],
-    )
-
-
 def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, conf = _resolve_config(args)
     out = _out_dir(args)
     ckpt = model.load_checkpoint(args.checkpoint)
     ds = _load_dataset(args.dataset)
@@ -362,8 +258,11 @@ def cmd_eval(args) -> int:
             f"checkpoint expects dimension {ckpt.params.input_dim}, dataset has {ds.dimension}"
         )
     distractors = _load_distractors(args.extended_gallery) if args.extended_gallery else None
-    reps = [args.repetition] if args.repetition is not None else list(range(cfg["split"]["repetitions"]))
-    report = _evaluate_checkpoint(ckpt.params, ds, cfg, reps, distractors)
+    spec = conf["split"]
+    reps = [args.repetition] if args.repetition is not None else range(spec.repetitions)
+    report = evaluation.evaluate_repetitions(
+        ds, spec, reps, lambda rep, train_ds: ckpt.params, distractors=distractors, **asdict(conf["eval"])
+    )
 
     payload = {
         "config": cfg,
@@ -391,23 +290,14 @@ COMPARE_ORDER = ("cl", "tl", "scl")
 
 
 def cmd_compare(args) -> int:
-    cfg = _resolve_config(args)
+    cfg, conf = _resolve_config(args)
     out = _out_dir(args)
     ds = _load_dataset(args.dataset)
-    spec = _split_spec(cfg)
-    ev = cfg["eval"]
-    base_train = _train_config(cfg)
 
     table = {}
     for loss in COMPARE_ORDER:
         report = evaluation.repeated_evaluation(
-            ds,
-            spec,
-            presets.with_loss(base_train, loss),
-            ranks=tuple(ev["ranks"]),
-            target_fars=tuple(ev["target_fars"]),
-            normalize=ev["normalize"],
-            verification_pairs=ev["verification_pairs"],
+            ds, conf["split"], replace(conf["train"], loss=loss), **asdict(conf["eval"])
         )
         table[loss] = reporting.eval_report_payload(report)
 

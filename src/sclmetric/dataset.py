@@ -225,10 +225,6 @@ class GalleryProbePartition:
             if len(ids) != len(set(ids)):
                 raise DataError("single-image gallery contains a repeated subject")
 
-    @property
-    def gallery_subject_ids(self) -> tuple[int, ...]:
-        return tuple(dict.fromkeys(s.subject_id for s in self.gallery))
-
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -389,14 +385,13 @@ def subject_split(ds: Dataset, spec: SplitSpec, repetition: int) -> tuple[Datase
     return train, test
 
 
-def gallery_probe_partition(ds: Dataset, single_image_gallery: bool, seed=None) -> GalleryProbePartition:
+def gallery_probe_partition(ds: Dataset, single_image_gallery: bool) -> GalleryProbePartition:
     """Split a dataset into an intact gallery and an injured probe set.
 
     Subjects missing either subclass are dropped and reported in
     ``excluded_subjects`` (plus a warning) instead of failing the run.
     With ``single_image_gallery`` the lowest sample_index per subject is
-    enrolled.  ``seed`` is accepted for interface stability; the current
-    selection rule is deterministic and does not consume it.
+    enrolled.
     """
     gallery: list[Sample] = []
     probe: list[Sample] = []

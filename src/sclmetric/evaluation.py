@@ -39,7 +39,10 @@ implementations to them bit-exactly):
 :func:`repeated_evaluation` runs the full protocol: per repetition a
 subject-disjoint 70/30 split, training on the train side, then
 identification (single-image gallery), verification on balanced sampled
-pairs, and the inter-class separation statistic on the test side.
+pairs, and the inter-class separation statistic on the test side.  Its
+split -> evaluate -> aggregate path, :func:`evaluate_repetitions`, also
+scores a fixed model, so a trained checkpoint evaluated on repetition R
+reproduces that repetition's protocol result.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import numpy as np
 
 from . import mining, model, training
 from .dataset import Dataset, GalleryProbePartition, Sample, SplitSpec, Subclass, gallery_probe_partition, subject_split
-from .errors import DataError, DimensionMismatchError, ProtocolError
+from .errors import ConfigError, DataError, DimensionMismatchError, ProtocolError
 
 # Distance blocks hold at most this many float64 entries (1 MiB); larger
 # cross blocks are computed a slice of rows at a time.
@@ -110,6 +113,32 @@ class EvalReport:
     inter_class_mean: float
     extended_gallery: bool
     normalized: bool
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """What an evaluation reports: the CMC ranks, the GAR@FAR targets,
+    whether the inter-class statistic unit-normalizes embeddings, and how
+    many verification pairs are sampled per label.
+
+    Its defaults are the defaults of :func:`evaluate_model` and
+    :func:`repeated_evaluation`.
+    """
+
+    ranks: tuple[int, ...] = (1, 5, 10)
+    target_fars: tuple[float, ...] = (0.01, 0.1)
+    normalize: bool = True
+    verification_pairs: int = 50
+
+    def __post_init__(self):
+        object.__setattr__(self, "ranks", tuple(self.ranks))
+        object.__setattr__(self, "target_fars", tuple(self.target_fars))
+        if not self.ranks or any(k < 1 for k in self.ranks):
+            raise ConfigError(f"ranks must be nonempty and each >= 1, got {self.ranks}")
+        if not all(0.0 < far <= 1.0 for far in self.target_fars):
+            raise ConfigError(f"target FARs must be in (0, 1], got {self.target_fars}")
+        if self.verification_pairs < 1:
+            raise ConfigError(f"verification_pairs must be >= 1, got {self.verification_pairs}")
 
 
 def extract_embeddings(m: model.ModelParams, samples) -> list[np.ndarray]:
@@ -406,10 +435,10 @@ def evaluate_model(
     test_ds: Dataset,
     *,
     repetition: int = 0,
-    ranks=(1, 5, 10),
-    target_fars=(0.01, 0.1),
-    normalize: bool = True,
-    verification_pairs: int = 50,
+    ranks=EvalConfig.ranks,
+    target_fars=EvalConfig.target_fars,
+    normalize: bool = EvalConfig.normalize,
+    verification_pairs: int = EvalConfig.verification_pairs,
     distractors=None,
     pair_seed: int = 0,
 ) -> RepetitionResult:
@@ -492,10 +521,10 @@ def repeated_evaluation(
     split: SplitSpec,
     train_cfg: training.TrainConfig,
     *,
-    ranks=(1, 5, 10),
-    target_fars=(0.01, 0.1),
-    normalize: bool = True,
-    verification_pairs: int = 50,
+    ranks=EvalConfig.ranks,
+    target_fars=EvalConfig.target_fars,
+    normalize: bool = EvalConfig.normalize,
+    verification_pairs: int = EvalConfig.verification_pairs,
     distractors=None,
 ) -> EvalReport:
     """The repeated random sub-sampling protocol, end to end.
@@ -505,14 +534,48 @@ def repeated_evaluation(
     single-image gallery and injured probes.  Reports mean and population
     std over exactly ``split.repetitions`` repetitions.
     """
+
+    def trained(rep: int, train_ds: Dataset) -> model.ModelParams:
+        return training.train(train_ds, training.config_for_repetition(train_cfg, rep))[0]
+
+    return evaluate_repetitions(
+        ds,
+        split,
+        range(split.repetitions),
+        trained,
+        ranks=ranks,
+        target_fars=target_fars,
+        normalize=normalize,
+        verification_pairs=verification_pairs,
+        distractors=distractors,
+    )
+
+
+def evaluate_repetitions(
+    ds: Dataset,
+    split: SplitSpec,
+    repetitions,
+    params_for,
+    *,
+    ranks,
+    target_fars,
+    normalize: bool,
+    verification_pairs: int,
+    distractors=None,
+) -> EvalReport:
+    """Evaluate the test side of each listed split repetition and aggregate.
+
+    ``params_for(repetition, train_ds)`` returns the model to score on that
+    repetition, given its train side.  Verification pairs are sampled with
+    a seed derived from ``(split.seed, repetition)``, so a repetition is
+    scored identically whether its model was trained here or loaded.
+    """
     results = []
-    for rep in range(split.repetitions):
+    for rep in repetitions:
         train_ds, test_ds = subject_split(ds, split, rep)
-        cfg_rep = training.config_for_repetition(train_cfg, rep)
-        params, _ = training.train(train_ds, cfg_rep)
         results.append(
             evaluate_model(
-                params,
+                params_for(rep, train_ds),
                 test_ds,
                 repetition=rep,
                 ranks=ranks,

@@ -26,7 +26,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .dataset import Dataset, Sample, Subclass
+from .dataset import Dataset, Sample, Subclass, SubjectRecord
 from .errors import ConfigError, MiningError
 
 
@@ -123,9 +123,35 @@ class Batch:
         return self.genuine_sets + self.imposter_sets
 
 
-def _warn_skipped(kind: str, skipped: list[tuple[int, str]]) -> None:
+def _donors(ds: Dataset, use: str, required: bool = True) -> list[SubjectRecord]:
+    """Subjects with injured samples, the pool foreign injured samples come
+    from; raises :class:`MiningError` when ``required`` and fewer than two
+    exist, since no cross-subject unit can then be formed."""
+    donors = [r for r in ds.subjects if r.injured]
+    if required and len(donors) < 2:
+        raise MiningError(f"{use} needs >= 2 subjects with injured samples, found {len(donors)}")
+    return donors
+
+
+def _anchors(ds: Dataset, kind: str, donors=None, need_injured: bool = True):
+    """The subjects a builder mines from, in dataset order, each paired with
+    its candidate donors (``donors`` minus itself, or None without donors).
+
+    Subjects lacking an intact sample, or with ``need_injured`` an injured
+    one, are skipped with one warning naming ``kind``.
+    """
+    out = []
+    skipped: list[tuple[int, str]] = []
+    reason = "missing a subclass" if need_injured else "no non-injured samples"
+    for record in ds.subjects:
+        if not record.non_injured or need_injured and not record.injured:
+            skipped.append((record.subject_id, reason))
+            continue
+        candidates = None if donors is None else [d for d in donors if d.subject_id != record.subject_id]
+        out.append((record, candidates))
     if skipped:
         warnings.warn(f"{kind} mining skipped subjects: {skipped}", stacklevel=3)
+    return out
 
 
 def build_genuine_sets(ds: Dataset, per_subject: int, seed: int) -> list[GenuineSet]:
@@ -136,12 +162,8 @@ def build_genuine_sets(ds: Dataset, per_subject: int, seed: int) -> list[Genuine
     """
     rng = np.random.default_rng(seed)
     out: list[GenuineSet] = []
-    skipped: list[tuple[int, str]] = []
-    for record in ds.subjects:
+    for record, _ in _anchors(ds, "genuine-set"):
         non, inj = record.non_injured, record.injured
-        if not non or not inj:
-            skipped.append((record.subject_id, "missing a subclass"))
-            continue
         for _ in range(per_subject):
             a = non[rng.integers(len(non))]
             if len(inj) == 1:
@@ -149,7 +171,6 @@ def build_genuine_sets(ds: Dataset, per_subject: int, seed: int) -> list[Genuine
             else:
                 q, r = rng.choice(len(inj), size=2, replace=False)
                 out.append(GenuineSet(a, inj[q], inj[r]))
-    _warn_skipped("genuine-set", skipped)
     return out
 
 
@@ -162,26 +183,16 @@ def build_imposter_sets(ds: Dataset, per_subject: int, seed: int) -> list[Impost
     samples, since no cross-subject pair can then exist.
     """
     rng = np.random.default_rng(seed)
-    donors = [r for r in ds.subjects if r.injured]
-    if len(donors) < 2:
-        raise MiningError(
-            f"imposter mining needs >= 2 subjects with injured samples, found {len(donors)}"
-        )
+    donors = _donors(ds, "imposter mining")
     out: list[ImposterSet] = []
-    skipped: list[tuple[int, str]] = []
-    for record in ds.subjects:
+    for record, candidates in _anchors(ds, "imposter-set", donors, need_injured=False):
         non = record.non_injured
-        if not non:
-            skipped.append((record.subject_id, "no non-injured samples"))
-            continue
-        candidates = [d for d in donors if d.subject_id != record.subject_id]
         for _ in range(per_subject):
             a = non[rng.integers(len(non))]
             donor = candidates[rng.integers(len(candidates))]
             b = donor.injured[rng.integers(len(donor.injured))]
             c = record.injured[rng.integers(len(record.injured))] if record.injured else None
             out.append(ImposterSet(a, b, c))
-    _warn_skipped("imposter-set", skipped)
     return out
 
 
@@ -189,19 +200,10 @@ def build_cl_pairs(ds: Dataset, per_subject: int, seed: int) -> list[Contrastive
     """Mine balanced contrastive pairs: per subject, ``per_subject`` genuine
     (N_i, I_i) pairs and ``per_subject`` imposter (N_i, I_j) pairs."""
     rng = np.random.default_rng(seed)
-    donors = [r for r in ds.subjects if r.injured]
-    if per_subject > 0 and len(donors) < 2:
-        raise MiningError(
-            f"imposter pairing needs >= 2 subjects with injured samples, found {len(donors)}"
-        )
+    donors = _donors(ds, "imposter pairing", required=per_subject > 0)
     out: list[ContrastivePair] = []
-    skipped: list[tuple[int, str]] = []
-    for record in ds.subjects:
+    for record, candidates in _anchors(ds, "contrastive-pair", donors):
         non, inj = record.non_injured, record.injured
-        if not non or not inj:
-            skipped.append((record.subject_id, "missing a subclass"))
-            continue
-        candidates = [d for d in donors if d.subject_id != record.subject_id]
         for _ in range(per_subject):
             out.append(ContrastivePair(non[rng.integers(len(non))], inj[rng.integers(len(inj))], 0))
             donor = candidates[rng.integers(len(candidates))]
@@ -210,7 +212,6 @@ def build_cl_pairs(ds: Dataset, per_subject: int, seed: int) -> list[Contrastive
                     non[rng.integers(len(non))], donor.injured[rng.integers(len(donor.injured))], 1
                 )
             )
-    _warn_skipped("contrastive-pair", skipped)
     return out
 
 
@@ -218,26 +219,16 @@ def build_triplets(ds: Dataset, per_subject: int, seed: int) -> list[Triplet]:
     """Mine ``per_subject`` triplets per eligible subject, negatives uniform
     over other subjects' injured samples."""
     rng = np.random.default_rng(seed)
-    donors = [r for r in ds.subjects if r.injured]
-    if per_subject > 0 and len(donors) < 2:
-        raise MiningError(
-            f"triplet mining needs >= 2 subjects with injured samples, found {len(donors)}"
-        )
+    donors = _donors(ds, "triplet mining", required=per_subject > 0)
     out: list[Triplet] = []
-    skipped: list[tuple[int, str]] = []
-    for record in ds.subjects:
+    for record, candidates in _anchors(ds, "triplet", donors):
         non, inj = record.non_injured, record.injured
-        if not non or not inj:
-            skipped.append((record.subject_id, "missing a subclass"))
-            continue
-        candidates = [d for d in donors if d.subject_id != record.subject_id]
         for _ in range(per_subject):
             anchor = non[rng.integers(len(non))]
             positive = inj[rng.integers(len(inj))]
             donor = candidates[rng.integers(len(candidates))]
             negative = donor.injured[rng.integers(len(donor.injured))]
             out.append(Triplet(anchor, positive, negative))
-    _warn_skipped("triplet", skipped)
     return out
 
 

@@ -210,10 +210,6 @@ def add_gradients(total, extra):
     return tuple((tw + ew, tb + eb) for (tw, tb), (ew, eb) in zip(total, extra))
 
 
-def scale_gradients(grads, factor: float):
-    return tuple((gw * factor, gb * factor) for gw, gb in grads)
-
-
 def save_checkpoint(m: ModelParams, metadata: dict, path) -> None:
     """Write the versioned binary checkpoint described in the module docs."""
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")

@@ -16,8 +16,6 @@ Two synthetic-data difficulty levels and two training regimes:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .dataset import SynthConfig
 from .training import TrainConfig
 
@@ -74,8 +72,3 @@ def synthetic_regime(loss: str = "scl", seed: int = 0, epochs: int = 120) -> Tra
         seed=seed,
         freeze=0,
     )
-
-
-def with_loss(cfg: TrainConfig, loss: str) -> TrainConfig:
-    """The same regime driving a different loss (margins stay at defaults)."""
-    return replace(cfg, loss=loss)

@@ -2,7 +2,7 @@
 
 Every epoch re-mines its training units with an epoch-derived seed, packs
 them into ~1:1 batches, accumulates summed gradients over each batch in
-fixed index order, and takes one optimizer step per batch.  Training is
+fixed index order, and takes one Adam step per batch.  Training is
 fully deterministic: (dataset, config, seed) fix the returned parameters
 bit-exactly, and a frozen layer prefix never changes.
 
@@ -31,7 +31,6 @@ from .errors import ConfigError, NumericError
 from .losses import SclConfig
 
 LOSS_KINDS = ("scl", "cl", "tl")
-OPTIMIZERS = ("adam", "sgd")
 
 
 def derive_seed(*parts: int) -> int:
@@ -125,16 +124,10 @@ class TrainConfig:
     seed: int = 0
     freeze: int = 0
     hidden_dims: tuple[int, ...] = (32, 16)
-    optimizer: str = "adam"
-    batch_reduction: str = "sum"
 
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.batch_reduction not in ("sum", "mean"):
-            raise ConfigError(f"batch_reduction must be sum or mean, got {self.batch_reduction!r}")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         if self.epochs < 1 or self.batch_size < 2 or self.per_subject < 0:
@@ -262,12 +255,7 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
                 raise NumericError(
                     f"non-finite loss {batch_loss} at epoch {epoch}, batch {bi} (loss={cfg.loss})"
                 )
-            if cfg.batch_reduction == "mean" and batch.size > 0:
-                grads = model.scale_gradients(grads, 1.0 / batch.size)
-            if cfg.optimizer == "adam":
-                params, adam = adam_step(params, grads, adam, cfg.learning_rate)
-            else:
-                params = sgd_step(params, grads, cfg.learning_rate)
+            params, adam = adam_step(params, grads, adam, cfg.learning_rate)
         total_units = counts[0] + counts[1]
         overall = (sums[0] + sums[1]) / total_units if total_units else 0.0
         if cfg.loss == "tl":

@@ -31,7 +31,7 @@ FAST_TRAIN = {
 
 
 def write_config(tmp_path, **sections):
-    cfg = {"synth": SMALL_SYNTH, "train": FAST_TRAIN, "eval": {"verification_pairs": 5, "ranks": [1]}}
+    cfg = {"synth": dict(SMALL_SYNTH), "train": dict(FAST_TRAIN), "eval": {"verification_pairs": 5, "ranks": [1]}}
     for key, value in sections.items():
         cfg.setdefault(key, {}).update(value)
     path = tmp_path / "config.json"
@@ -276,3 +276,88 @@ class TestCompare:
                 composed = single["repetitions"][0]["rank_accuracies"]["1"]
                 monolith = compare["losses"][loss]["repetitions"][rep]["rank_accuracies"]["1"]
                 assert composed == monolith
+
+
+DEFAULT_CONFIG_SEED_3 = {
+    "seed": 3,
+    "synth": {
+        "n_subjects": 10,
+        "dim": 16,
+        "n_non_injured": 4,
+        "n_injured": 4,
+        "subject_radius": 10.0,
+        "sigma_n": 0.1,
+        "sigma_i": 0.1,
+        "injury_shift": 2.0,
+        "n_injury_modes": 1,
+        "seed": 3,
+    },
+    "split": {"train_fraction": 0.7, "repetitions": 5, "seed": 3},
+    "train": {
+        "loss": "scl",
+        "learning_rate": 3e-6,
+        "epochs": 30,
+        "batch_size": 50,
+        "alpha1": 2.0,
+        "alpha2": 3.1,
+        "cl_margin": 2.0,
+        "tl_margin": 0.4,
+        "per_subject": 4,
+        "seed": 3,
+        "freeze": 0,
+        "hidden_dims": [32, 16],
+    },
+    "eval": {"ranks": [1, 5, 10], "target_fars": [0.01, 0.1], "normalize": True, "verification_pairs": 50},
+}
+
+
+class TestConfig:
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "init.ckpt"
+        model.save_checkpoint(model.init_model([SMALL_SYNTH["dim"], 4], seed=0), {}, path)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "command, section, values",
+        [
+            ("train", "train", {"hidden_dims": ["a"]}),
+            ("train", "train", {"hidden_dims": [1.5]}),
+            ("train", "train", {"hidden_dims": [True]}),
+            ("train", "train", {"optimizer": "sgd"}),
+            ("train", "train", {"batch_reduction": "mean"}),
+            ("eval", "eval", {"ranks": ["a"]}),
+            ("eval", "eval", {"target_fars": ["x"]}),
+            ("eval", "eval", {"ranks": [0]}),
+            ("eval", "eval", {"ranks": []}),
+            ("eval", "eval", {"target_fars": [2.0]}),
+            ("eval", "eval", {"target_fars": [0]}),
+            ("eval", "eval", {"verification_pairs": 0}),
+        ],
+    )
+    def test_malformed_or_out_of_range_value_exit_2(
+        self, tmp_path, dataset_csv, checkpoint, capsys, command, section, values
+    ):
+        _, data = dataset_csv
+        cfg = write_config(tmp_path, **{section: values})
+        inputs = [data] if command == "train" else [checkpoint, data]
+        capsys.readouterr()
+        assert main([command, *inputs, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_rejects_bad_target_far_before_training(self, tmp_path, dataset_csv):
+        _, data = dataset_csv
+        cfg = write_config(tmp_path, eval={"target_fars": [2.0]})
+        out = tmp_path / "cmp"
+        assert main(["compare", data, "--config", cfg, "--repetitions", "2", "--out", str(out)]) == 2
+        assert not (out / "compare_report.json").exists()
+
+    def test_resolved_default_config(self, tmp_path):
+        out = tmp_path / "synth"
+        assert main(["synth", "--seed", "3", "--out", str(out)]) == 0
+        ckpt = tmp_path / "init.ckpt"
+        model.save_checkpoint(model.init_model([16, 4], seed=0), {}, ckpt)
+        assert main(["eval", str(ckpt), str(out / "dataset.csv"), "--seed", "3", "--out", str(tmp_path / "e")]) == 0
+        report = json.loads((tmp_path / "e" / "report.json").read_text(encoding="utf-8"))
+        assert report["config"] == DEFAULT_CONFIG_SEED_3
