@@ -173,6 +173,9 @@ def _resolve_config(args) -> tuple[dict, dict]:
         if any(f.name == "seed" for f in fields(cls)):
             cfg[name].setdefault("seed", cfg["seed"])
         built[name] = cls(**cfg[name])
+    rep, reps = getattr(args, "repetition", None), built["split"].repetitions
+    if rep is not None and not 0 <= rep < reps:
+        raise ConfigError(f"--repetition {rep} outside 0..{reps - 1}")
     return cfg, built
 
 

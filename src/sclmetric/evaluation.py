@@ -6,13 +6,14 @@ is monotone).  Galleries are sequences of ``(subject_id, embedding)``
 pairs; when a subject has several gallery images its distance to a probe
 is the minimum over them.
 
-Every distance comes from one matrix kernel, :func:`_distances`, held to
-the scalar contract of :func:`sclmetric.losses.squared_euclidean`: squared
-coordinate differences are accumulated left to right over the feature
-axis in float64, then square-rooted.  It serves the (probe, gallery) block
-for identification, the (gallery, probe) block for the inter-class
-statistic, the paired rows of verification, and the row norms of
-normalization, computing large blocks a fixed number of rows at a time.
+Every distance comes from one matrix kernel, :func:`_distances`, the
+square root of :func:`sclmetric.losses.squared_distances` (left-to-right
+float64 accumulation over the feature axis, the rule of
+:func:`sclmetric.losses.squared_euclidean`).  It serves the (probe,
+gallery) block for identification, the (gallery, probe) block for the
+inter-class statistic, the paired rows of verification, and the row norms
+of normalization, computing large blocks a fixed number of rows at a time.
+Each sample list is embedded by one row-batched :func:`sclmetric.model.forward`.
 
 Deterministic tie/ordering contracts (tests hold independent scalar
 implementations to them bit-exactly):
@@ -56,6 +57,7 @@ import numpy as np
 from . import mining, model, training
 from .dataset import Dataset, GalleryProbePartition, Sample, SplitSpec, Subclass, gallery_probe_partition, subject_split
 from .errors import ConfigError, DataError, DimensionMismatchError, ProtocolError
+from .losses import squared_distances
 
 # Distance blocks hold at most this many float64 entries (1 MiB); larger
 # cross blocks are computed a slice of rows at a time.
@@ -141,9 +143,15 @@ class EvalConfig:
             raise ConfigError(f"verification_pairs must be >= 1, got {self.verification_pairs}")
 
 
+def _forward_rows(m: model.ModelParams, vectors) -> np.ndarray:
+    """The network outputs of equal-length input vectors, as one row batch."""
+    x = _matrix(vectors)
+    return model.forward(m, x)[0] if len(x) else x
+
+
 def extract_embeddings(m: model.ModelParams, samples) -> list[np.ndarray]:
     """Map samples through the network, preserving order."""
-    return [model.forward(m, s.embedding)[0] for s in samples]
+    return list(_forward_rows(m, [s.embedding for s in samples]))
 
 
 def _matrix(vectors) -> np.ndarray:
@@ -158,22 +166,9 @@ def _matrix(vectors) -> np.ndarray:
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` and ``b``, broadcast
-    over every axis but the last (the feature axis).
-
-    Squared differences are summed left to right over the features with
-    in-place ufuncs, exactly as :func:`sclmetric.losses.squared_euclidean`
-    does for one pair, so every entry carries its bits.
-    """
-    if a.shape[-1] != b.shape[-1]:
-        raise DimensionMismatchError(f"embedding dimensions differ: {a.shape[-1]} vs {b.shape[-1]}")
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    total = np.zeros(shape)
-    diff = np.empty(shape)
-    for k in range(a.shape[-1]):
-        np.subtract(a[..., k], b[..., k], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add(total, diff, out=total)
-    return np.sqrt(total, out=total)
+    over every axis but the last, with the bits of ``squared_euclidean``."""
+    squared = squared_distances(a, b)
+    return np.sqrt(squared, out=squared)
 
 
 def _cross_blocks(a: np.ndarray, b: np.ndarray):
@@ -284,22 +279,12 @@ def rank_k_accuracy(curve: CmcCurve, k: int) -> float:
 
 
 def verification_scores(pairs, m: model.ModelParams) -> VerificationReport:
-    """Distance per pair, partitioned by label into genuine/imposter scores.
-
-    Each distinct sample object is mapped through the network once.
-    """
+    """Distance per pair, partitioned by label into genuine/imposter scores."""
     pairs = list(pairs)
     if not pairs:
         raise ProtocolError("verification needs at least one pair")
-    cache: dict[int, np.ndarray] = {}
-
-    def embed(sample):
-        if id(sample) not in cache:
-            cache[id(sample)] = model.forward(m, sample.embedding)[0]
-        return cache[id(sample)]
-
-    first = _matrix([embed(p.first) for p in pairs])
-    second = _matrix([embed(p.second) for p in pairs])
+    first = _forward_rows(m, [p.first.embedding for p in pairs])
+    second = _forward_rows(m, [p.second.embedding for p in pairs])
     scores = _distances(first, second)
     genuine = np.array([p.label == 0 for p in pairs])
     return VerificationReport(tuple(scores[genuine].tolist()), tuple(scores[~genuine].tolist()))
@@ -371,8 +356,8 @@ def mean_inter_class_distance(gallery, probes, m: model.ModelParams, normalize: 
     """
     gallery = list(gallery)
     probes = list(probes)
-    g_emb = _matrix([model.forward(m, emb)[0] for _, emb in gallery])
-    p_emb = _matrix([model.forward(m, emb)[0] for _, emb in probes])
+    g_emb = _forward_rows(m, [emb for _, emb in gallery])
+    p_emb = _forward_rows(m, [emb for _, emb in probes])
     g_sids = np.array([sid for sid, _ in gallery])
     p_sids = np.array([sid for sid, _ in probes])
     return _inter_class_mean(g_sids, g_emb, p_sids, p_emb, normalize)
@@ -425,11 +410,6 @@ def sample_verification_pairs(ds: Dataset, n_per_label: int, seed: int):
     return genuine + imposter
 
 
-def _embed(params: model.ModelParams, samples):
-    """Subject ids and the (n, d) embedding matrix of ``samples``."""
-    return np.array([s.subject_id for s in samples]), _matrix(extract_embeddings(params, samples))
-
-
 def evaluate_model(
     params: model.ModelParams,
     test_ds: Dataset,
@@ -452,8 +432,10 @@ def evaluate_model(
     """
     part = gallery_probe_partition(test_ds, single_image_gallery=True)
     eval_part = extend_gallery(part, distractors) if distractors else part
-    gallery_sids, gallery_emb = _embed(params, eval_part.gallery)
-    probe_sids, probe_emb = _embed(params, part.probe)
+    gallery_sids = np.array([s.subject_id for s in eval_part.gallery])
+    probe_sids = np.array([s.subject_id for s in part.probe])
+    gallery_emb = _forward_rows(params, [s.embedding for s in eval_part.gallery])
+    probe_emb = _forward_rows(params, [s.embedding for s in part.probe])
 
     curve = _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids)
     usable_ranks = tuple(k for k in ranks if 1 <= k <= len(curve.values))

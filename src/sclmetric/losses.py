@@ -11,6 +11,13 @@ Conventions shared by every loss here:
   contribution are exactly zero;
 * degenerate sets (slot c absent) simply omit the second pair's term.
 
+Each loss kind has one implementation, a row kernel over (n, d) slot
+matrices (:func:`scl_loss_rows`, :func:`contrastive_loss_rows`,
+:func:`triplet_loss_rows`); training calls it once per batch, and the
+scalar functions validate one unit and run it as a one-row call.  Masks
+select the active hinges, so every row has the bits of the scalar
+definition and an inactive term is an exact zero.
+
 The subclass-aware set losses operate on the mined units of
 :mod:`sclmetric.mining`:
 
@@ -21,9 +28,10 @@ The subclass-aware set losses operate on the mined units of
   ``max(0, alpha1 - |a-b|^2) + max(0, alpha2 - |b-c|^2)`` pushes the foreign
   injured sample b away from both of subject i's sides.
 
-The scalar reduction in :func:`squared_euclidean` is specified as
-left-to-right float64 accumulation so that independently written reference
-code produces bit-identical values.
+Squared distances come from one kernel, :func:`squared_distances`, shared
+with the evaluation distance blocks: left-to-right float64 accumulation
+over the feature axis, so independently written reference code produces
+bit-identical values.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ DEFAULT_ALPHA1 = 2.0
 DEFAULT_ALPHA2 = 3.1
 DEFAULT_CL_MARGIN = 2.0
 DEFAULT_TL_MARGIN = 0.4
+_SMALL_BLOCK = 1 << 12  # squared_distances squares this many differences at once
 
 
 @dataclass(frozen=True)
@@ -75,27 +84,100 @@ def _as_vector(v, name: str) -> np.ndarray:
     return arr
 
 
-def _check_dims(*named) -> None:
-    dims = {name: len(vec) for name, vec in named}
-    if len(set(dims.values())) > 1:
-        raise DimensionMismatchError(f"embedding dimensions differ: {dims}")
+def squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``u`` and ``v``,
+    broadcast over every axis but the last (the feature axis), with the bits
+    of ``total += (u_k - v_k) * (u_k - v_k)`` over k from ``total = 0.0``.
+
+    Small blocks square every difference at once and add them up with the
+    strictly sequential ``np.add.accumulate``; large blocks loop over the
+    features with in-place ufuncs to bound memory.
+    """
+    if u.shape[-1] != v.shape[-1]:
+        raise DimensionMismatchError(f"embedding dimensions differ: {u.shape[-1]} vs {v.shape[-1]}")
+    shape = u.shape[:-1] if u.shape == v.shape else np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
+    if 0 < math.prod(shape) * u.shape[-1] <= _SMALL_BLOCK:
+        squares = u - v
+        np.multiply(squares, squares, out=squares)
+        return np.add.accumulate(squares, axis=-1)[..., -1]
+    total = np.zeros(shape)
+    diff = np.empty(shape)
+    for k in range(u.shape[-1]):
+        np.subtract(u[..., k], v[..., k], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(total, diff, out=total)
+    return total
 
 
 def squared_euclidean(u, v) -> float:
     """Sum of squared coordinate differences, accumulated left to right."""
-    u = _as_vector(u, "u")
-    v = _as_vector(v, "v")
-    _check_dims(("u", u), ("v", v))
-    total = 0.0
-    for uk, vk in zip(u.tolist(), v.tolist()):
-        d = uk - vk
-        total += d * d
-    return total
+    return float(squared_distances(_as_vector(u, "u"), _as_vector(v, "v")))
 
 
 def euclidean_distance(u, v) -> float:
     """Plain (non-squared) Euclidean distance."""
     return math.sqrt(squared_euclidean(u, v))
+
+
+def scl_loss_rows(a, b, c, labels, has_c, cfg: SclConfig = SclConfig()):
+    """Set loss (1-Y) * intra + Y * inter of each row of the (n, d) slot
+    matrices; ``has_c`` is false for degenerate sets, whose c row must
+    repeat b.  Returns the values and the gradient rows ``(ga, gb, gc)``."""
+    d_ab = squared_distances(a, b)
+    d_bc = np.where(has_c, squared_distances(b, c), 0.0)
+    two_ab = 2.0 * (a - b)
+    two_bc = 2.0 * (b - c)
+    first = d_ab < cfg.alpha1
+    second = has_c & (d_bc < cfg.alpha2)
+    inter = np.where(first, cfg.alpha1 - d_ab, 0.0) + np.where(second, cfg.alpha2 - d_bc, 0.0)
+    push_ab = np.where(first[:, None], two_ab, 0.0)
+    push_bc = np.where(second[:, None], two_bc, 0.0)
+    genuine = labels == 0
+    rows = genuine[:, None]
+    ga = np.where(rows, two_ab, -push_ab)
+    gb = np.where(rows, two_bc - two_ab, push_ab - push_bc)
+    gc = np.where(rows, -two_bc, push_bc)
+    return np.where(genuine, d_ab + d_bc, inter), (ga, gb, gc)
+
+
+def contrastive_loss_rows(x1, x2, labels, margin: float = DEFAULT_CL_MARGIN):
+    """Contrastive loss of each row pair; returns the values and the
+    gradient rows ``(g1, g2)``.  The squared hinge is Python's
+    ``float ** 2`` (C ``pow``), which can round differently from ``t * t``."""
+    d2 = squared_distances(x1, x2)
+    dist = np.sqrt(d2)
+    diff = x1 - x2
+    genuine = labels == 0
+    hinge = ~genuine & ~(dist >= margin)
+    slack = margin - dist
+    squared = np.array([t**2 if h else 0.0 for t, h in zip(slack.tolist(), hinge.tolist())])
+    pull = hinge & (dist != 0.0)
+    coef = np.divide(-slack, dist, out=np.zeros(len(dist)), where=pull)
+    push = np.where(pull[:, None], coef[:, None] * diff, 0.0)
+    rows = genuine[:, None]
+    return np.where(genuine, 0.5 * d2, 0.5 * squared), (np.where(rows, diff, push), np.where(rows, -diff, -push))
+
+
+def triplet_loss_rows(a, p, n, margin: float = DEFAULT_TL_MARGIN):
+    """Triplet hinge of each row; returns the values and the gradient rows
+    ``(ga, gp, gn)``."""
+    arg = squared_distances(a, p) - squared_distances(a, n) + margin
+    active = ~(arg <= 0)
+    grads = (2.0 * (n - p), 2.0 * (p - a), 2.0 * (a - n))
+    return np.where(active, arg, 0.0), tuple(np.where(active[:, None], g, 0.0) for g in grads)
+
+
+def _one_row(values, grads, slots: str) -> LossValue:
+    return LossValue(float(values[0]), {slot: g[0] for slot, g in zip(slots, grads)})
+
+
+def _scl_one(label: int, a, b, c, cfg: SclConfig) -> LossValue:
+    a = _as_vector(a, "a")
+    b = _as_vector(b, "b")
+    has_c = c is not None
+    c = _as_vector(c, "c") if has_c else b
+    rows = scl_loss_rows(a[None], b[None], c[None], np.array([label]), np.array([has_c]), cfg)
+    return _one_row(*rows, "abc" if has_c else "ab")
 
 
 def scl_intra_loss(a, b, c=None) -> LossValue:
@@ -104,19 +186,7 @@ def scl_intra_loss(a, b, c=None) -> LossValue:
     Gradients: d/da = 2(a-b), d/db = 2(b-a) + 2(b-c), d/dc = 2(c-b); the
     c-dependent pieces vanish for degenerate sets.
     """
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    if c is None:
-        _check_dims(("a", a), ("b", b))
-        value = squared_euclidean(a, b)
-        return LossValue(value, {"a": 2.0 * (a - b), "b": 2.0 * (b - a)})
-    c = _as_vector(c, "c")
-    _check_dims(("a", a), ("b", b), ("c", c))
-    value = squared_euclidean(a, b) + squared_euclidean(b, c)
-    return LossValue(
-        value,
-        {"a": 2.0 * (a - b), "b": 2.0 * (b - a) + 2.0 * (b - c), "c": 2.0 * (c - b)},
-    )
+    return _scl_one(0, a, b, c, SclConfig())
 
 
 def scl_inter_loss(a, b, c=None, cfg: SclConfig = SclConfig()) -> LossValue:
@@ -126,27 +196,7 @@ def scl_inter_loss(a, b, c=None, cfg: SclConfig = SclConfig()) -> LossValue:
     hinge contributes -2/(+2) difference gradients, an inactive hinge
     contributes exactly zero.
     """
-    a = _as_vector(a, "a")
-    b = _as_vector(b, "b")
-    grads = {"a": np.zeros_like(a), "b": np.zeros_like(b)}
-    value = 0.0
-    d_ab = squared_euclidean(a, b)
-    if d_ab < cfg.alpha1:
-        value += cfg.alpha1 - d_ab
-        grads["a"] = grads["a"] - 2.0 * (a - b)
-        grads["b"] = grads["b"] + 2.0 * (a - b)
-    if c is not None:
-        c = _as_vector(c, "c")
-        _check_dims(("a", a), ("b", b), ("c", c))
-        grads["c"] = np.zeros_like(c)
-        d_bc = squared_euclidean(b, c)
-        if d_bc < cfg.alpha2:
-            value += cfg.alpha2 - d_bc
-            grads["b"] = grads["b"] - 2.0 * (b - c)
-            grads["c"] = grads["c"] + 2.0 * (b - c)
-    else:
-        _check_dims(("a", a), ("b", b))
-    return LossValue(value, grads)
+    return _scl_one(1, a, b, c, cfg)
 
 
 def scl_set_loss(sample_set, a, b, c=None, cfg: SclConfig = SclConfig()) -> LossValue:
@@ -156,12 +206,9 @@ def scl_set_loss(sample_set, a, b, c=None, cfg: SclConfig = SclConfig()) -> Loss
     sets); the embeddings fill the set's a/b/c slots.  A batch loss is the
     plain sum of per-set values in index order.
     """
-    label = sample_set.label
-    if label == 0:
-        return scl_intra_loss(a, b, c)
-    if label == 1:
-        return scl_inter_loss(a, b, c, cfg)
-    raise ConfigError(f"set label must be 0 or 1, got {label!r}")
+    if sample_set.label not in (0, 1):
+        raise ConfigError(f"set label must be 0 or 1, got {sample_set.label!r}")
+    return _scl_one(sample_set.label, a, b, c, cfg)
 
 
 def contrastive_loss(x1, x2, label: int, margin: float = DEFAULT_CL_MARGIN) -> LossValue:
@@ -175,21 +222,9 @@ def contrastive_loss(x1, x2, label: int, margin: float = DEFAULT_CL_MARGIN) -> L
         raise ConfigError(f"contrastive margin must be > 0, got {margin}")
     if label not in (0, 1):
         raise ConfigError(f"pair label must be 0 or 1, got {label!r}")
-    x1 = _as_vector(x1, "x1")
-    x2 = _as_vector(x2, "x2")
-    _check_dims(("x1", x1), ("x2", x2))
-    diff = x1 - x2
-    d2 = squared_euclidean(x1, x2)
-    dist = math.sqrt(d2)
-    if label == 0:
-        return LossValue(0.5 * d2, {"a": diff.copy(), "b": -diff})
-    if dist >= margin:
-        return LossValue(0.0, {"a": np.zeros_like(x1), "b": np.zeros_like(x2)})
-    value = 0.5 * (margin - dist) ** 2
-    if dist == 0.0:
-        return LossValue(value, {"a": np.zeros_like(x1), "b": np.zeros_like(x2)})
-    coef = -(margin - dist) / dist
-    return LossValue(value, {"a": coef * diff, "b": -coef * diff})
+    x1 = _as_vector(x1, "x1")[None]
+    x2 = _as_vector(x2, "x2")[None]
+    return _one_row(*contrastive_loss_rows(x1, x2, np.array([label]), margin), "ab")
 
 
 def triplet_loss(anchor, positive, negative, margin: float = DEFAULT_TL_MARGIN) -> LossValue:
@@ -199,15 +234,7 @@ def triplet_loss(anchor, positive, negative, margin: float = DEFAULT_TL_MARGIN) 
     """
     if margin <= 0:
         raise ConfigError(f"triplet margin must be > 0, got {margin}")
-    a = _as_vector(anchor, "anchor")
-    p = _as_vector(positive, "positive")
-    n = _as_vector(negative, "negative")
-    _check_dims(("anchor", a), ("positive", p), ("negative", n))
-    arg = squared_euclidean(a, p) - squared_euclidean(a, n) + margin
-    if arg <= 0:
-        zeros = {"a": np.zeros_like(a), "b": np.zeros_like(p), "c": np.zeros_like(n)}
-        return LossValue(0.0, zeros)
-    return LossValue(
-        arg,
-        {"a": 2.0 * (n - p), "b": 2.0 * (p - a), "c": 2.0 * (a - n)},
-    )
+    a = _as_vector(anchor, "anchor")[None]
+    p = _as_vector(positive, "positive")[None]
+    n = _as_vector(negative, "negative")[None]
+    return _one_row(*triplet_loss_rows(a, p, n, margin), "abc")

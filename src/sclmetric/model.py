@@ -152,9 +152,12 @@ def identity_model(dim: int) -> ModelParams:
 
 
 def forward(m: ModelParams, x) -> tuple[np.ndarray, ForwardTrace]:
-    """Apply the network to one input vector, keeping the activation trace."""
+    """Apply the network to one input vector or to each row of an (n, in)
+    matrix, keeping the activation trace.  Each layer is ``np.matmul(W, a[..., None])``,
+    one BLAS gemv per row, so a row gets the same bits alone or in any batch
+    (plain ``X @ W.T`` is a gemm and rounds differently)."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] != m.input_dim:
+    if a.ndim not in (1, 2) or a.shape[-1] != m.input_dim:
         raise DimensionMismatchError(
             f"input shape {a.shape} does not match model input dim {m.input_dim}"
         )
@@ -162,17 +165,35 @@ def forward(m: ModelParams, x) -> tuple[np.ndarray, ForwardTrace]:
     preacts = []
     for layer in m.layers:
         inputs.append(a)
-        z = layer.weight @ a + layer.bias
+        z = np.matmul(layer.weight, a[..., None])[..., 0] + layer.bias
         preacts.append(z)
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
     return a, ForwardTrace(tuple(inputs), tuple(preacts), a)
 
 
+def _fold(dz: np.ndarray, x=None) -> np.ndarray:
+    """Sum over rows of ``dz``, or of the outer products ``dz[r] x[r]^T``, in
+    row order from +0.0, 256 KiB of rows at a time: ``np.add.accumulate`` adds
+    strictly in order (``np.add.reduce`` sums one-wide rows pairwise)."""
+    total = np.zeros(dz.shape[1:] + (() if x is None else x.shape[1:]))
+    step = max(1, (1 << 15) // total.size)
+    for start in range(0, len(dz), step):
+        block = dz[start : start + step]
+        block = block.copy() if x is None else block[:, :, None] * x[start : start + step, None, :]
+        block[0] += total
+        total = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+    return total
+
+
 def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask = FreezeMask()):
     """Chain-rule the output gradient into per-layer (dW, db) pairs.
 
-    Layers with index < ``frozen_layer_count`` receive exactly-zero
-    gradients.  The trace must come from a forward pass of the same model.
+    For a trace of rows ``grad_out`` has one row each, and every parameter
+    gradient is the sum over rows in row order from zero, the bits of
+    folding per-row results with :func:`add_gradients`; the gradient passed
+    down is ``np.matmul(W.T, dz[..., None])``, one gemv per row.  Layers with
+    index < ``frozen_layer_count`` receive exactly-zero gradients.  The
+    trace must come from a forward pass of the same model.
     """
     if freeze.frozen_layer_count > len(m.layers):
         raise ConfigError(
@@ -181,7 +202,7 @@ def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask =
     if len(trace.inputs) != len(m.layers):
         raise DataError("trace does not match model depth")
     g = np.asarray(grad_out, dtype=np.float64)
-    if g.shape != (m.output_dim,):
+    if g.shape != trace.inputs[0].shape[:-1] + (m.output_dim,):
         raise DimensionMismatchError(
             f"grad_out shape {g.shape} does not match output dim {m.output_dim}"
         )
@@ -189,14 +210,15 @@ def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask =
     for li in range(len(m.layers) - 1, -1, -1):
         layer = m.layers[li]
         x_in, z = trace.inputs[li], trace.preacts[li]
-        if x_in.shape[0] != layer.in_dim or z.shape[0] != layer.out_dim:
+        if x_in.shape[-1] != layer.in_dim or z.shape[-1] != layer.out_dim:
             raise DataError("trace shapes do not match model layer shapes")
-        dz = g * (z > 0.0) if layer.activation == "relu" else g
         if li < freeze.frozen_layer_count:
             grads[li] = (np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-        else:
-            grads[li] = (np.outer(dz, x_in), dz.copy())
-        g = layer.weight.T @ dz
+            continue
+        dz = g * (z > 0.0) if layer.activation == "relu" else g
+        grads[li] = (_fold(dz, x_in), _fold(dz)) if g.ndim == 2 else (dz[:, None] * x_in, dz.copy())
+        if li > freeze.frozen_layer_count:
+            g = np.matmul(layer.weight.T, dz[..., None])[..., 0]
     return tuple(grads)
 
 

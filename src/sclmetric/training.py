@@ -1,9 +1,12 @@
 """Optimizers and the epoch loop wiring mining -> forward -> loss -> update.
 
 Every epoch re-mines its training units with an epoch-derived seed, packs
-them into ~1:1 batches, accumulates summed gradients over each batch in
-fixed index order, and takes one Adam step per batch.  Training is
-fully deterministic: (dataset, config, seed) fix the returned parameters
+them into ~1:1 batches, and takes one Adam step per batch.  A batch's slot
+rows, in (unit, slot) order, go through one forward pass, the row kernel
+of the run's loss kind and one backward pass that sums the gradient over
+rows in order; inactive slots add exact zeros, so the parameters are bit
+for bit those of a per-unit loop that skips them.  Training is fully
+deterministic: (dataset, config, seed) fix the returned parameters
 bit-exactly, and a frozen layer prefix never changes.
 
 Two regimes are commonly used (see :mod:`sclmetric.presets`): the reference
@@ -28,7 +31,6 @@ import numpy as np
 from . import losses, mining, model
 from .dataset import Dataset
 from .errors import ConfigError, NumericError
-from .losses import SclConfig
 
 LOSS_KINDS = ("scl", "cl", "tl")
 
@@ -75,27 +77,21 @@ def adam_step(params: model.ModelParams, grads, state: AdamState, lr: float):
     _check_grad_shapes(params, grads)
     t = state.t + 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    new_layers = []
-    new_m = []
-    new_v = []
-    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(params.layers, grads, state.m, state.v):
-        mw = b1 * mw + (1.0 - b1) * gw
-        mb = b1 * mb + (1.0 - b1) * gb
-        vw = b2 * vw + (1.0 - b2) * gw * gw
-        vb = b2 * vb + (1.0 - b2) * gb * gb
-        mw_hat = mw / (1.0 - b1**t)
-        mb_hat = mb / (1.0 - b1**t)
-        vw_hat = vw / (1.0 - b2**t)
-        vb_hat = vb / (1.0 - b2**t)
-        weight = layer.weight - lr * mw_hat / (np.sqrt(vw_hat) + eps)
-        bias = layer.bias - lr * mb_hat / (np.sqrt(vb_hat) + eps)
-        new_layers.append(model.Layer(weight, bias, layer.activation))
-        new_m.append((mw, mb))
-        new_v.append((vw, vb))
-    return (
-        model.ModelParams(tuple(new_layers)),
-        AdamState(tuple(new_m), tuple(new_v), t, b1, b2, eps),
-    )
+
+    def update(theta, g, m, v):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+        return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+    steps = [
+        (update(layer.weight, gw, mw, vw), update(layer.bias, gb, mb, vb))
+        for layer, (gw, gb), (mw, mb), (vw, vb) in zip(params.layers, grads, state.m, state.v)
+    ]
+    layers = tuple(model.Layer(w[0], b[0], layer.activation) for (w, b), layer in zip(steps, params.layers))
+    m = tuple((w[1], b[1]) for w, b in steps)
+    v = tuple((w[2], b[2]) for w, b in steps)
+    return model.ModelParams(layers), AdamState(m, v, t, b1, b2, eps)
 
 
 def sgd_step(params: model.ModelParams, grads, lr: float) -> model.ModelParams:
@@ -142,9 +138,6 @@ class TrainConfig:
             raise ConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
-    def scl_config(self) -> SclConfig:
-        return SclConfig(self.alpha1, self.alpha2)
-
 
 @dataclass(frozen=True)
 class EpochStats:
@@ -174,40 +167,26 @@ def _mine_epoch(ds: Dataset, cfg: TrainConfig, epoch: int):
     s_gen = derive_seed(cfg.seed, epoch, 1)
     s_imp = derive_seed(cfg.seed, epoch, 2)
     if cfg.loss == "scl":
-        return (
-            mining.build_genuine_sets(ds, cfg.per_subject, s_gen),
-            mining.build_imposter_sets(ds, cfg.per_subject, s_imp),
-        )
+        genuine = mining.build_genuine_sets(ds, cfg.per_subject, s_gen)
+        return genuine, mining.build_imposter_sets(ds, cfg.per_subject, s_imp)
     if cfg.loss == "cl":
         pairs = mining.build_cl_pairs(ds, cfg.per_subject, s_gen)
         return [p for p in pairs if p.label == 0], [p for p in pairs if p.label == 1]
     return mining.build_triplets(ds, cfg.per_subject, s_gen), []
 
 
-def _unit_slots(unit):
-    """The (slot_name, sample) inputs a unit feeds through the network."""
-    if isinstance(unit, (mining.GenuineSet, mining.ImposterSet)):
-        slots = [("a", unit.a), ("b", unit.b)]
-        if unit.c is not None:
-            slots.append(("c", unit.c))
-        return slots
-    if isinstance(unit, mining.ContrastivePair):
-        return [("a", unit.first), ("b", unit.second)]
-    return [("a", unit.anchor), ("b", unit.positive), ("c", unit.negative)]
+# The unit fields each loss kind feeds through the network, in slot order.
+_SLOTS = {"scl": ("a", "b", "c"), "cl": ("first", "second"), "tl": ("anchor", "positive", "negative")}
 
 
-def _unit_loss(unit, embeddings: dict, cfg: TrainConfig) -> losses.LossValue:
-    if isinstance(unit, (mining.GenuineSet, mining.ImposterSet)):
-        return losses.scl_set_loss(
-            unit, embeddings["a"], embeddings["b"], embeddings.get("c"), cfg.scl_config()
-        )
-    if isinstance(unit, mining.ContrastivePair):
-        return losses.contrastive_loss(embeddings["a"], embeddings["b"], unit.label, cfg.cl_margin)
-    return losses.triplet_loss(embeddings["a"], embeddings["b"], embeddings["c"], cfg.tl_margin)
-
-
-def _unit_label(unit) -> int:
-    return getattr(unit, "label", 0)
+def _loss_rows(cfg: TrainConfig, units, labels, slots):
+    """Per-unit values and per-slot gradient rows of ``slots``, one (unit, dim) matrix each."""
+    if cfg.loss == "scl":
+        has_c = np.array([unit.c is not None for unit in units])
+        return losses.scl_loss_rows(*slots, labels, has_c, losses.SclConfig(cfg.alpha1, cfg.alpha2))
+    if cfg.loss == "cl":
+        return losses.contrastive_loss_rows(*slots, labels, cfg.cl_margin)
+    return losses.triplet_loss_rows(*slots, cfg.tl_margin)
 
 
 def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, TrainLog]:
@@ -225,6 +204,7 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
             f"freeze={cfg.freeze} exceeds the model's {len(params.layers)} layers"
         )
     adam = AdamState.for_model(params)
+    names = _SLOTS[cfg.loss]
     entries: list[EpochStats] = []
 
     for epoch in range(cfg.epochs):
@@ -234,44 +214,28 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
         sums = {0: 0.0, 1: 0.0}
         counts = {0: 0, 1: 0}
         for bi, batch in enumerate(batches):
-            grads = model.zero_gradients(params)
+            # make_batches keeps the label-0 units ahead of the label-1 units.
+            labels = np.repeat([0, 1], [len(batch.genuine_sets), len(batch.imposter_sets)])
+            # A degenerate set's missing c repeats b; the kernel gives it a zero gradient.
+            rows = np.array([(getattr(u, name) or u.b).embedding for u in batch.units for name in names])
+            embedded, trace = model.forward(params, rows)
+            slots = embedded.reshape(len(batch.units), len(names), -1).transpose(1, 0, 2)
+            values, slot_grads = _loss_rows(cfg, batch.units, labels, slots)
+            grads = model.backward(params, trace, np.stack(slot_grads, axis=1).reshape(embedded.shape), freeze)
             batch_loss = 0.0
-            for unit in batch.units:
-                embeddings = {}
-                traces = {}
-                for slot, sample in _unit_slots(unit):
-                    embeddings[slot], traces[slot] = model.forward(params, sample.embedding)
-                lv = _unit_loss(unit, embeddings, cfg)
-                batch_loss += lv.value
-                label = _unit_label(unit)
-                sums[label] += lv.value
+            for value, label in zip(values.tolist(), labels.tolist()):
+                batch_loss += value
+                sums[label] += value
                 counts[label] += 1
-                for slot, grad_emb in lv.gradients.items():
-                    if grad_emb.any():
-                        grads = model.add_gradients(
-                            grads, model.backward(params, traces[slot], grad_emb, freeze)
-                        )
             if not math.isfinite(batch_loss):
                 raise NumericError(
                     f"non-finite loss {batch_loss} at epoch {epoch}, batch {bi} (loss={cfg.loss})"
                 )
             params, adam = adam_step(params, grads, adam, cfg.learning_rate)
-        total_units = counts[0] + counts[1]
-        overall = (sums[0] + sums[1]) / total_units if total_units else 0.0
-        if cfg.loss == "tl":
-            mean_genuine = mean_imposter = overall
-        else:
-            mean_genuine = sums[0] / counts[0] if counts[0] else 0.0
-            mean_imposter = sums[1] / counts[1] if counts[1] else 0.0
-        entries.append(
-            EpochStats(
-                epoch=epoch,
-                sum_loss=sums[0] + sums[1],
-                mean_genuine=mean_genuine,
-                mean_imposter=mean_imposter,
-                seconds=time.perf_counter() - started,
-            )
-        )
+        means = [sums[k] / counts[k] if counts[k] else 0.0 for k in (0, 1)]
+        if cfg.loss == "tl":  # every triplet is label 0: both columns carry the overall mean
+            means[1] = means[0]
+        entries.append(EpochStats(epoch, sums[0] + sums[1], *means, time.perf_counter() - started))
     return params, TrainLog(tuple(entries))
 
 

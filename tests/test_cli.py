@@ -3,6 +3,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from sclmetric import model
@@ -124,6 +125,13 @@ class TestTrain:
         ds = load_embeddings(data)
         init = model.init_model([ds.dimension, 8, 4], ckpt.metadata["seed"])
         assert ckpt.params == init
+
+    def test_non_finite_loss_exit_4(self, tmp_path, dataset_csv, capsys):
+        cfg, data = dataset_csv
+        with np.errstate(all="ignore"):
+            rc = main(["train", data, "--config", cfg, "--seed", "3", "--out", str(tmp_path / "x"), "--lr", "1e300"])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("numeric error: non-finite loss")
 
     def test_missing_dataset_exit_3(self, tmp_path):
         assert main(["train", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o")]) == 3
@@ -345,6 +353,32 @@ class TestConfig:
         assert main([command, *inputs, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize(
+        "repetition, flags",
+        [(-1, []), (5, []), (3, ["--repetitions", "3"]), (-1, ["--repetitions", "3"])],
+    )
+    def test_repetition_outside_split_plan_exit_2(
+        self, tmp_path, dataset_csv, checkpoint, capsys, command, repetition, flags
+    ):
+        # The split plan holds 5 repetitions by default, or --repetitions of them.
+        cfg, data = dataset_csv
+        inputs = [data] if command == "train" else [checkpoint, data]
+        out = tmp_path / "o"
+        capsys.readouterr()
+        rc = main([command, *inputs, "--config", cfg, *flags, "--repetition", str(repetition), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: --repetition")
+        assert not out.exists()
+
+    def test_repetition_inside_a_larger_split_plan_runs(self, tmp_path, dataset_csv, checkpoint):
+        _, data = dataset_csv
+        cfg = write_config(tmp_path, train={"epochs": 1})
+        for command, inputs in (("train", [data]), ("eval", [checkpoint, data])):
+            out = tmp_path / command
+            args = [command, *inputs, "--config", cfg, "--repetitions", "7", "--repetition", "6", "--out", str(out)]
+            assert main(args) == 0
 
     def test_compare_rejects_bad_target_far_before_training(self, tmp_path, dataset_csv):
         _, data = dataset_csv

@@ -1,5 +1,7 @@
 """Loss values, closed-form identities, and finite-difference gradient checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from sclmetric import losses
 from sclmetric.errors import ConfigError, DimensionMismatchError
 from sclmetric.losses import SclConfig
 
+import per_unit_trainer
 from helpers import away_from, central_difference, relative_error
 
 PAPER_MARGINS = SclConfig(alpha1=2.0, alpha2=3.1)
@@ -41,6 +44,20 @@ class TestSquaredEuclidean:
             u, v = rng.normal(size=(2, 16))
             reference = sum((a - b) * (a - b) for a, b in zip(u.tolist(), v.tolist()))
             assert losses.squared_euclidean(u, v) == reference
+
+
+    @pytest.mark.parametrize("shape_u, shape_v", [((8,), (8,)), ((50, 16), (50, 16)), ((300, 16), (300, 16)),
+                                                  ((40, 1, 9), (1, 30, 9)), ((3, 1, 40), (1, 50, 40))])
+    def test_squared_distances_match_scalar_loop_on_both_sides_of_the_block_switch(self, shape_u, shape_v):
+        # Blocks up to 4096 differences are summed at once, larger ones feature by feature.
+        rng = np.random.default_rng(13)
+        u = rng.normal(size=shape_u) * 10.0 ** rng.integers(-4, 4, size=shape_u)
+        v = rng.normal(size=shape_v)
+        got = losses.squared_distances(u, v)
+        ub, vb = np.broadcast_arrays(u, v)
+        for index in np.ndindex(got.shape):
+            reference = sum((a - b) * (a - b) for a, b in zip(ub[index].tolist(), vb[index].tolist()))
+            assert got[index] == reference
 
 
 class TestIntraLoss:
@@ -294,3 +311,54 @@ def test_all_losses_nonnegative(seed):
     assert losses.contrastive_loss(a, b, 0).value >= 0.0
     assert losses.contrastive_loss(a, b, 1).value >= 0.0
     assert losses.triplet_loss(a, b, c).value >= 0.0
+
+
+class TestRowKernels:
+    """Each row of a kernel call equals the scalar definition (written out
+    independently in ``per_unit_trainer``) exactly."""
+
+    @staticmethod
+    def assert_rows_equal(values, grads, reference):
+        for i, (ref_value, ref_grads) in enumerate(reference):
+            assert values[i] == ref_value
+            for k, slot in enumerate("abc"[: len(grads)]):
+                expected = ref_grads.get(slot, np.zeros(grads[k].shape[1]))
+                assert np.array_equal(grads[k][i], expected)
+
+    def test_scl_rows(self):
+        rng = np.random.default_rng(51)
+        n = 400
+        a, b, c = rng.normal(size=(3, n, 5)) * 0.5
+        labels = rng.integers(2, size=n)
+        has_c = rng.random(n) < 0.7
+        c[~has_c] = b[~has_c]
+        values, grads = losses.scl_loss_rows(a, b, c, labels, has_c, PAPER_MARGINS)
+        reference = [
+            per_unit_trainer.scl_loss(
+                labels[i], {"a": a[i], "b": b[i], **({"c": c[i]} if has_c[i] else {})}, 2.0, 3.1
+            )
+            for i in range(n)
+        ]
+        self.assert_rows_equal(values, grads, reference)
+        assert 0 < sum(v == 0.0 for v in values[labels == 1]) < sum(labels == 1)  # hinges both ways
+
+    def test_contrastive_rows_round_like_python_pow(self):
+        rng = np.random.default_rng(53)
+        n = 4000
+        x1, x2 = rng.normal(size=(2, n, 3)) * 0.8
+        labels = rng.integers(2, size=n)
+        values, grads = losses.contrastive_loss_rows(x1, x2, labels, 2.0)
+        reference = [per_unit_trainer.cl_loss(labels[i], {"a": x1[i], "b": x2[i]}, 2.0) for i in range(n)]
+        self.assert_rows_equal(values, grads, reference)
+        slack = [2.0 - math.sqrt(per_unit_trainer.sq(x1[i], x2[i])) for i in range(n) if labels[i] == 1]
+        # Some active hinges round differently under t * t, so the kernel must use **.
+        assert any(0 < t and t * t != t**2 for t in slack)
+
+    def test_triplet_rows(self):
+        rng = np.random.default_rng(57)
+        n = 400
+        a, p, m = rng.normal(size=(3, n, 4))
+        values, grads = losses.triplet_loss_rows(a, p, m, 0.4)
+        reference = [per_unit_trainer.tl_loss({"a": a[i], "b": p[i], "c": m[i]}, 0.4) for i in range(n)]
+        self.assert_rows_equal(values, grads, reference)
+        assert 0 < np.count_nonzero(values) < n

@@ -165,6 +165,72 @@ class TestBackward:
             checked += 1
 
 
+class TestRows:
+    """A matrix of rows gives exactly the bits of one pass per row."""
+
+    DIMS = ([5, 7, 4], [16, 32, 16], [6, 3, 1], [3, 1])
+
+    @staticmethod
+    def row_layouts(rng, n, width):
+        base = rng.normal(size=(2 * n + 3, width))
+        yield base[:n]
+        yield base[rng.permutation(len(base))[:n]]  # gathered rows
+        yield base[1 : 2 * n + 1 : 2]  # strided rows
+        yield np.asfortranarray(base[:n])  # column-major rows
+        yield rng.normal(size=(n, 2 * width))[:, ::2]  # strided columns
+
+    def test_forward_equals_per_row(self):
+        rng = np.random.default_rng(31)
+        for dims in self.DIMS:
+            m = init_model(dims, seed=int(rng.integers(1000)))
+            for n in (1, 2, 9, 150):
+                for x in self.row_layouts(rng, n, dims[0]):
+                    y, trace = forward(m, x)
+                    for i, row in enumerate(x):
+                        y_row, trace_row = forward(m, np.array(row))
+                        assert y[i].tobytes() == y_row.tobytes()
+                        for z, z_row in zip(trace.preacts, trace_row.preacts):
+                            assert z[i].tobytes() == z_row.tobytes()
+
+    @pytest.mark.parametrize("frozen", [0, 1, 2])
+    def test_backward_equals_fold_of_per_row_backward(self, frozen):
+        rng = np.random.default_rng(37 + frozen)
+        for dims in self.DIMS:
+            if frozen > len(dims) - 1:
+                continue
+            m = init_model(dims, seed=int(rng.integers(1000)))
+            for n in (1, 2, 9, 150):
+                x = next(self.row_layouts(rng, n, dims[0]))
+                g = rng.normal(size=(n, dims[-1])) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+                g[rng.random(n) < 0.3] = 0.0  # rows with a zero loss gradient
+                _, trace = forward(m, x)
+                grads = backward(m, trace, g, FreezeMask(frozen))
+                folded = model.zero_gradients(m)
+                for row, g_row in zip(x, g):
+                    _, trace_row = forward(m, np.array(row))
+                    folded = model.add_gradients(folded, backward(m, trace_row, g_row, FreezeMask(frozen)))
+                for li, ((gw, gb), (fw, fb)) in enumerate(zip(grads, folded)):
+                    assert gw.tobytes() == fw.tobytes() and gb.tobytes() == fb.tobytes()
+                    if li < frozen:
+                        assert not gw.any() and not gb.any()
+
+    def test_no_rows_give_zero_gradients(self):
+        m = init_model([5, 7, 4], seed=3)
+        _, trace = forward(m, np.zeros((0, 5)))
+        for (gw, gb), layer in zip(backward(m, trace, np.zeros((0, 4))), m.layers):
+            assert gw.shape == layer.weight.shape and not gw.any() and not gb.any()
+
+    def test_wrong_widths_rejected(self):
+        m = init_model([5, 7, 4], seed=3)
+        for bad in (np.zeros((3, 6)), np.zeros((3, 4)), np.zeros((2, 3, 5))):
+            with pytest.raises(DimensionMismatchError):
+                forward(m, bad)
+        _, trace = forward(m, np.zeros((3, 5)))
+        for bad in (np.zeros((3, 5)), np.zeros((2, 4)), np.zeros(4)):
+            with pytest.raises(DimensionMismatchError):
+                backward(m, trace, bad)
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = init_model([5, 8, 4], seed=9)

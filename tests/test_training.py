@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from sclmetric import model, presets, training
-from sclmetric.dataset import SynthConfig, generate_synthetic
-from sclmetric.errors import ConfigError
+from sclmetric.dataset import Dataset, SynthConfig, SubjectRecord, generate_synthetic
+from sclmetric.errors import ConfigError, NumericError
 from sclmetric.training import AdamState, TrainConfig, adam_step, sgd_step, train
+
+import per_unit_trainer
 
 
 def scalar_model(value: float) -> model.ModelParams:
@@ -143,6 +147,77 @@ class TestTrain:
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "epoch,sum_loss,mean_genuine,mean_imposter,seconds"
         assert len(lines) == 3
+
+
+def _without_injured(ds: Dataset, subject_id: int) -> Dataset:
+    subjects = [
+        SubjectRecord(r.subject_id, r.non_injured, ()) if r.subject_id == subject_id else r for r in ds.subjects
+    ]
+    return Dataset(ds.dimension, tuple(subjects))
+
+
+DIFFERENTIAL_DATASETS = {
+    "hard": lambda: generate_synthetic(presets.hard_synth_config(2)),
+    "easy": lambda: generate_synthetic(presets.easy_synth_config(2)),
+    # Every genuine set is degenerate (no c).
+    "single-injured": lambda: generate_synthetic(replace(presets.hard_synth_config(2), n_subjects=12, n_injured=1)),
+    # Imposter sets anchored on subject 3 have no c; cl and tl skip it.
+    "no-injured-subject": lambda: _without_injured(generate_synthetic(presets.easy_synth_config(2)), 3),
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*mining skipped subjects")
+class TestTrainDifferential:
+    """The batched trainer against the per-unit loop it replaced: the same
+    parameter bits and the same log floats, with no tolerance."""
+
+    @staticmethod
+    def assert_identical(ds, cfg):
+        params, log = train(ds, cfg)
+        layers, oracle_log = per_unit_trainer.train(ds, cfg)
+        for layer, (w, b) in zip(params.layers, layers):
+            assert layer.weight.tobytes() == w.tobytes()
+            assert layer.bias.tobytes() == b.tobytes()
+        entries = [(e.sum_loss, e.mean_genuine, e.mean_imposter) for e in log.entries]
+        assert entries == oracle_log
+        return params
+
+    @pytest.mark.parametrize("data", sorted(DIFFERENTIAL_DATASETS))
+    @pytest.mark.parametrize("loss", training.LOSS_KINDS)
+    def test_matches_per_unit_loop(self, data, loss):
+        ds = DIFFERENTIAL_DATASETS[data]()
+        moved = False
+        for freeze in (0, 1):
+            for batch_size in (2, 7, 50):
+                cfg = TrainConfig(
+                    loss=loss, learning_rate=1e-2, epochs=2, batch_size=batch_size, per_subject=2,
+                    seed=batch_size + freeze, freeze=freeze,
+                )
+                params = self.assert_identical(ds, cfg)
+                initial = model.init_model([ds.dimension, *cfg.hidden_dims], cfg.seed)
+                moved |= not np.array_equal(params.layers[-1].weight, initial.layers[-1].weight)
+        # Every triplet of the easy preset is inactive, so tl never moves there.
+        assert moved or (loss == "tl" and data in ("easy", "no-injured-subject"))
+
+    @pytest.mark.parametrize("loss", training.LOSS_KINDS)
+    def test_one_wide_layers(self, loss):
+        # One-wide rows are where np.add.reduce would sum pairwise.
+        ds = DIFFERENTIAL_DATASETS["hard"]()
+        for hidden_dims in ((1, 4), (8, 1)):
+            cfg = TrainConfig(
+                loss=loss, learning_rate=1e-2, epochs=2, batch_size=50, per_subject=4, hidden_dims=hidden_dims
+            )
+            self.assert_identical(ds, cfg)
+
+
+class TestNumericFailure:
+    # An absurd learning rate blows the embeddings up on the second step;
+    # tl is left out because its ReLU units die and its loss stays finite.
+    @pytest.mark.parametrize("loss", ["scl", "cl"])
+    def test_non_finite_batch_loss_raises(self, loss):
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as info:
+            train(easy_dataset(), quick_config(loss=loss, learning_rate=1e300))
+        assert str(info.value) == f"non-finite loss nan at epoch 0, batch 1 (loss={loss})"
 
 
 class TestTrainConfigValidation:
