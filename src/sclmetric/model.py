@@ -171,29 +171,29 @@ def forward(m: ModelParams, x) -> tuple[np.ndarray, ForwardTrace]:
     return a, ForwardTrace(tuple(inputs), tuple(preacts), a)
 
 
-def _fold(dz: np.ndarray, x=None) -> np.ndarray:
-    """Sum over rows of ``dz``, or of the outer products ``dz[r] x[r]^T``, in
-    row order from +0.0, 256 KiB of rows at a time: ``np.add.accumulate`` adds
-    strictly in order (``np.add.reduce`` sums one-wide rows pairwise)."""
-    total = np.zeros(dz.shape[1:] + (() if x is None else x.shape[1:]))
+def _fold(dz: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(dW, db)``, the sums of ``dz[r] (x[r], 1)^T`` in row order from +0.0: each
+    entry of the C-ordered einsum block is one exact product, and ``np.add.reduce``
+    on axis 0 adds rows >= 2 wide in order.  256 KiB blocks, carry in row 0."""
+    x1 = np.concatenate((x, np.ones((len(x), 1))), axis=1)
+    total = np.zeros((dz.shape[1], x1.shape[1]))
     step = max(1, (1 << 15) // total.size)
     for start in range(0, len(dz), step):
-        block = dz[start : start + step]
-        block = block.copy() if x is None else block[:, :, None] * x[start : start + step, None, :]
+        block = np.einsum("ro,ri->roi", dz[start : start + step], x1[start : start + step], order="C")
         block[0] += total
-        total = np.add.accumulate(block, axis=0, out=block)[-1].copy()
-    return total
+        total = np.add.reduce(block, axis=0)
+    return total[:, :-1], total[:, -1]
 
 
 def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask = FreezeMask()):
     """Chain-rule the output gradient into per-layer (dW, db) pairs.
 
-    For a trace of rows ``grad_out`` has one row each, and every parameter
-    gradient is the sum over rows in row order from zero, the bits of
-    folding per-row results with :func:`add_gradients`; the gradient passed
-    down is ``np.matmul(W.T, dz[..., None])``, one gemv per row.  Layers with
-    index < ``frozen_layer_count`` receive exactly-zero gradients.  The
-    trace must come from a forward pass of the same model.
+    For a trace of rows ``grad_out`` has one row each; every parameter gradient
+    sums per-row outer products in row order from +0.0 (a lone vector returns its
+    products as they are), and ``np.matmul(W.T, dz[..., None])`` sends the gradient
+    down, one gemv per row.  Rows with an all-zero ``grad_out`` are skipped, exact
+    for a finite trace: they add only +-0.0 (an ``inf`` activation in one made NaN).
+    Frozen layers get exactly-zero gradients; the trace must come from this model.
     """
     if freeze.frozen_layer_count > len(m.layers):
         raise ConfigError(
@@ -203,9 +203,9 @@ def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask =
         raise DataError("trace does not match model depth")
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != trace.inputs[0].shape[:-1] + (m.output_dim,):
-        raise DimensionMismatchError(
-            f"grad_out shape {g.shape} does not match output dim {m.output_dim}"
-        )
+        raise DimensionMismatchError(f"grad_out shape {g.shape} does not match output dim {m.output_dim}")
+    rows = (g != 0.0).any(axis=1) if g.ndim == 2 else slice(None)
+    g = g[rows]
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(m.layers)
     for li in range(len(m.layers) - 1, -1, -1):
         layer = m.layers[li]
@@ -215,8 +215,8 @@ def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask =
         if li < freeze.frozen_layer_count:
             grads[li] = (np.zeros_like(layer.weight), np.zeros_like(layer.bias))
             continue
-        dz = g * (z > 0.0) if layer.activation == "relu" else g
-        grads[li] = (_fold(dz, x_in), _fold(dz)) if g.ndim == 2 else (dz[:, None] * x_in, dz.copy())
+        dz = g * (z[rows] > 0.0) if layer.activation == "relu" else g
+        grads[li] = _fold(dz, x_in[rows]) if g.ndim == 2 else (dz[:, None] * x_in, dz.copy())
         if li > freeze.frozen_layer_count:
             g = np.matmul(layer.weight.T, dz[..., None])[..., 0]
     return tuple(grads)

@@ -3,8 +3,9 @@
 Every epoch re-mines its training units with an epoch-derived seed, packs
 them into ~1:1 batches, and takes one Adam step per batch.  A batch's slot
 rows, in (unit, slot) order, go through one forward pass, the row kernel
-of the run's loss kind and one backward pass that sums the gradient over
-rows in order; inactive slots add exact zeros, so the parameters are bit
+of the run's loss kind and one backward pass.  The backward pass drops the
+inactive slots, whose rows would add only exact zeros, and sums the rest in
+order with one exact-product reduce per layer, so the parameters are bit
 for bit those of a per-unit loop that skips them.  Training is fully
 deterministic: (dataset, config, seed) fix the returned parameters
 bit-exactly, and a frozen layer prefix never changes.

@@ -231,6 +231,122 @@ class TestRows:
                 backward(m, trace, bad)
 
 
+def loop_backward(m: model.ModelParams, trace, grad_out, frozen: int = 0):
+    """The per-row oracle: each layer's gradients are ``total = total + dz[r]
+    (x) x[r]`` over every row in order from +0.0, zero rows included, and the
+    gradient goes down one row at a time as ``W.T @ dz[r]``."""
+    g = np.atleast_2d(np.asarray(grad_out, dtype=np.float64))
+    grads = [None] * len(m.layers)
+    for li in range(len(m.layers) - 1, -1, -1):
+        layer = m.layers[li]
+        x_in, z = np.atleast_2d(trace.inputs[li]), np.atleast_2d(trace.preacts[li])
+        dz = g * (z > 0.0) if layer.activation == "relu" else g
+        total_w, total_b = np.zeros(layer.weight.shape), np.zeros(layer.out_dim)
+        for r in range(len(dz) if li >= frozen else 0):
+            total_w = total_w + np.multiply.outer(dz[r], x_in[r])
+            total_b = total_b + dz[r]
+        grads[li] = (total_w, total_b)
+        g = np.array([layer.weight.T @ row for row in dz]).reshape(len(dz), layer.in_dim)
+    return grads
+
+
+def fold_steps(dims):
+    """Rows per block of each layer's fold: 256 KiB of out x (in + 1) products."""
+    return [max(1, (1 << 15) // (out * (inp + 1))) for inp, out in zip(dims, dims[1:])]
+
+
+class TestFoldDifferential:
+    """``backward`` against :func:`loop_backward`, compared by ``tobytes()``."""
+
+    DIMS = ([1, 1], [3, 1], [1, 4], [4, 1, 3], [6, 9, 5])
+
+    @staticmethod
+    def batch(rng, n, width, zero_rows=True):
+        g = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-4, 5, size=(n, width))
+        if zero_rows:
+            pick = rng.random(n)
+            g[pick < 0.25] = 0.0
+            g[(pick >= 0.25) & (pick < 0.4)] = -0.0
+        return g
+
+    def assert_same(self, m, trace, g, frozen=0):
+        grads = backward(m, trace, g, FreezeMask(frozen))
+        for (gw, gb), (lw, lb) in zip(grads, loop_backward(m, trace, g, frozen)):
+            assert gw.tobytes() == lw.tobytes() and gb.tobytes() == lb.tobytes()
+        return grads
+
+    @pytest.mark.parametrize("dims", DIMS, ids=str)
+    def test_row_counts_around_the_block_step(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        m = init_model(dims, seed=len(dims))
+        counts = {1, 2}
+        for step in fold_steps(dims):
+            counts |= {step - 1, step, step + 1, 3 * step + 2}
+        for n in sorted(c for c in counts if c > 0):
+            x = rng.normal(size=(n, dims[0])) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+            _, trace = forward(m, x)
+            self.assert_same(m, trace, self.batch(rng, n, dims[-1]))
+
+    @pytest.mark.parametrize("frozen", [0, 1])
+    def test_column_major_and_gathered_rows(self, frozen):
+        rng = np.random.default_rng(41 + frozen)
+        for dims in self.DIMS:
+            m = init_model(dims, seed=int(rng.integers(1000)))
+            n = min(3 * min(fold_steps(dims)) + 2, 2000)
+            base = rng.normal(size=(2 * n, dims[0]))
+            for x in (np.asfortranarray(base[:n]), base[rng.permutation(2 * n)[:n]]):
+                _, trace = forward(m, x)
+                self.assert_same(m, trace, np.asfortranarray(self.batch(rng, n, dims[-1])), frozen)
+
+    def test_fold_orders_column_major_rows(self):
+        rng = np.random.default_rng(53)
+        dz = np.asfortranarray(self.batch(rng, 300, 3))
+        x = np.asfortranarray(rng.normal(size=(300, 2)) * 10.0 ** rng.integers(-4, 5, size=(300, 1)))
+        total_w, total_b = np.zeros((3, 2)), np.zeros(3)
+        for r in range(300):
+            total_w = total_w + np.multiply.outer(dz[r], x[r])
+            total_b = total_b + dz[r]
+        dw, db = model._fold(dz, x)
+        assert dw.tobytes() == total_w.tobytes() and db.tobytes() == total_b.tobytes()
+
+    def test_negative_zero_rows_and_all_zero_batch(self):
+        rng = np.random.default_rng(43)
+        for dims in self.DIMS:
+            m = init_model(dims, seed=7)
+            _, trace = forward(m, rng.normal(size=(20, dims[0])))
+            for g in (np.full((20, dims[-1]), -0.0), np.zeros((20, dims[-1]))):
+                for gw, gb in self.assert_same(m, trace, g):
+                    assert not gw.any() and not np.signbit(gw).any()
+                    assert not gb.any() and not np.signbit(gb).any()
+
+    def test_single_vector_matches_a_one_row_batch(self):
+        rng = np.random.default_rng(47)
+        for dims in self.DIMS:
+            m = init_model(dims, seed=11)
+            x = rng.normal(size=dims[0])
+            g = self.batch(rng, 1, dims[-1], zero_rows=False)[0]
+            g[0] = -0.0
+            _, trace = forward(m, x)
+            _, trace_rows = forward(m, x[None, :])
+            grads = backward(m, trace, g)
+            batch = backward(m, trace_rows, g[None, :])
+            for (gw, gb), (rw, rb), (lw, lb) in zip(grads, batch, loop_backward(m, trace, g)):
+                # a lone vector's gradients are its products: a -0.0 product stays -0.0
+                assert (gw + 0.0).tobytes() == rw.tobytes() == lw.tobytes()
+                assert (gb + 0.0).tobytes() == rb.tobytes() == lb.tobytes()
+
+    def test_inactive_row_with_inf_activation_is_skipped(self):
+        m = init_model([3, 4, 2], seed=5)
+        x = np.array([[1.0, -2.0, 0.5], [np.inf, 1.0, 1.0], [0.25, 0.5, -1.0]])
+        with np.errstate(invalid="ignore"):
+            _, trace = forward(m, x)
+        g = np.array([[0.5, -1.0], [0.0, -0.0], [2.0, 0.25]])
+        _, trace_kept = forward(m, x[[0, 2]])
+        for (gw, gb), (kw, kb) in zip(backward(m, trace, g), backward(m, trace_kept, g[[0, 2]])):
+            assert gw.tobytes() == kw.tobytes() and gb.tobytes() == kb.tobytes()
+            assert np.isfinite(gw).all() and np.isfinite(gb).all()
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = init_model([5, 8, 4], seed=9)
