@@ -142,20 +142,10 @@ def _resolve_config(args) -> tuple[dict, dict]:
         cfg[name] = {f.name: getattr(default, f.name) for f in fields(cls) if f.name != "seed"}
         cfg[name].update(user.get(name, {}))
 
-    flag_map = {
-        "loss": ("train", "loss"),
-        "alpha1": ("train", "alpha1"),
-        "alpha2": ("train", "alpha2"),
-        "lr": ("train", "learning_rate"),
-        "epochs": ("train", "epochs"),
-        "batch": ("train", "batch_size"),
-        "freeze": ("train", "freeze"),
-        "repetitions": ("split", "repetitions"),
-        "normalize": ("eval", "normalize"),
-    }
-    for flag, (section, key) in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
+    # Override flags are stored under their "section.key" config path.
+    for path, value in vars(args).items():
+        if "." in path and value is not None:
+            section, key = path.split(".")
             cfg[section][key] = value
 
     margin = getattr(args, "margin", None)
@@ -334,14 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="global seed")
         p.add_argument("--out", type=str, default="out", help="output directory")
         if with_train_flags:
-            p.add_argument("--loss", choices=training.LOSS_KINDS, default=None)
-            p.add_argument("--alpha1", type=float, default=None)
-            p.add_argument("--alpha2", type=float, default=None)
+            p.add_argument("--loss", dest="train.loss", choices=training.LOSS_KINDS, default=None)
+            p.add_argument("--alpha1", dest="train.alpha1", type=float, default=None)
+            p.add_argument("--alpha2", dest="train.alpha2", type=float, default=None)
             p.add_argument("--margin", type=float, default=None, help="margin of the selected cl/tl loss")
-            p.add_argument("--lr", type=float, default=None)
-            p.add_argument("--epochs", type=int, default=None)
-            p.add_argument("--batch", type=int, default=None)
-            p.add_argument("--freeze", type=int, default=None)
+            p.add_argument("--lr", dest="train.learning_rate", type=float, default=None)
+            p.add_argument("--epochs", dest="train.epochs", type=int, default=None)
+            p.add_argument("--batch", dest="train.batch_size", type=int, default=None)
+            p.add_argument("--freeze", dest="train.freeze", type=int, default=None)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic embedding CSV")
     common(p_synth, with_train_flags=False)
@@ -350,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train an embedding network on a dataset CSV")
     p_train.add_argument("dataset", type=str)
     common(p_train)
-    p_train.add_argument("--repetitions", type=int, default=None, help="split plan size")
+    p_train.add_argument("--repetitions", dest="split.repetitions", type=int, default=None, help="split plan size")
     p_train.add_argument(
         "--repetition", type=int, default=None,
         help="train on the train side of this split repetition (compare-compatible seeding)",
@@ -361,10 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("checkpoint", type=str)
     p_eval.add_argument("dataset", type=str)
     common(p_eval, with_train_flags=False)
-    p_eval.add_argument("--repetitions", type=int, default=None, help="split plan size")
+    p_eval.add_argument("--repetitions", dest="split.repetitions", type=int, default=None, help="split plan size")
     p_eval.add_argument("--repetition", type=int, default=None, help="evaluate only this repetition's test side")
     p_eval.add_argument("--extended-gallery", type=str, default=None, help="distractor embedding CSV")
-    p_eval.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=None,
+    p_eval.add_argument("--normalize", dest="eval.normalize", action=argparse.BooleanOptionalAction, default=None,
                         help="unit-normalize embeddings for the inter-class statistic")
     p_eval.add_argument("--svg", action="store_true", help="also render CMC and score-histogram SVGs")
     p_eval.set_defaults(func=cmd_eval)
@@ -372,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="train and evaluate CL, TL and the subclass loss side by side")
     p_cmp.add_argument("dataset", type=str)
     common(p_cmp)
-    p_cmp.add_argument("--repetitions", type=int, default=None, help="split plan size")
+    p_cmp.add_argument("--repetitions", dest="split.repetitions", type=int, default=None, help="split plan size")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

@@ -143,10 +143,17 @@ class EvalConfig:
             raise ConfigError(f"verification_pairs must be >= 1, got {self.verification_pairs}")
 
 
+_FORWARD_CHUNK = 512
+
+
 def _forward_rows(m: model.ModelParams, vectors) -> np.ndarray:
-    """The network outputs of equal-length input vectors, as one row batch."""
+    """The network outputs of equal-length input vectors, as one row batch.
+    Rows go through in chunks so that no more than one chunk's activation
+    trace is alive; a row gets the same bits in any batch."""
     x = _matrix(vectors)
-    return model.forward(m, x)[0] if len(x) else x
+    if not len(x):
+        return x
+    return np.concatenate([model.forward(m, x[i : i + _FORWARD_CHUNK])[0] for i in range(0, len(x), _FORWARD_CHUNK)])
 
 
 def extract_embeddings(m: model.ModelParams, samples) -> list[np.ndarray]:

@@ -142,15 +142,16 @@ def scl_loss_rows(a, b, c, labels, has_c, cfg: SclConfig = SclConfig()):
 
 def contrastive_loss_rows(x1, x2, labels, margin: float = DEFAULT_CL_MARGIN):
     """Contrastive loss of each row pair; returns the values and the
-    gradient rows ``(g1, g2)``.  The squared hinge is Python's
-    ``float ** 2`` (C ``pow``), which can round differently from ``t * t``."""
+    gradient rows ``(g1, g2)``.  The squared hinge is ``np.float_power``, which
+    calls C ``pow`` as Python's ``float ** 2`` does; ``t * t`` and ``np.power``
+    can round differently."""
     d2 = squared_distances(x1, x2)
     dist = np.sqrt(d2)
     diff = x1 - x2
     genuine = labels == 0
     hinge = ~genuine & ~(dist >= margin)
     slack = margin - dist
-    squared = np.array([t**2 if h else 0.0 for t, h in zip(slack.tolist(), hinge.tolist())])
+    squared = np.float_power(slack, 2.0, out=np.zeros(len(slack)), where=hinge)
     pull = hinge & (dist != 0.0)
     coef = np.divide(-slack, dist, out=np.zeros(len(dist)), where=pull)
     push = np.where(pull[:, None], coef[:, None] * diff, 0.0)

@@ -1,17 +1,18 @@
 """Named configurations used by the demos, the CLI defaults, and the tests.
 
-Two synthetic-data difficulty levels and two training regimes:
+Two synthetic-data difficulty levels and one training regime:
 
 * ``easy_synth_config`` - 10 well separated subjects with a single small
   injury shift; any reasonable training run should saturate rank-1 here.
 * ``hard_synth_config`` - 30 closer subjects whose injured samples scatter
   across three distinct shift directions with triple the intact spread, so
   consolidating a subject's injured subclass actually matters.
-* ``reference_regime`` - the fine-tuning hyperparameters (Adam, lr 3e-6,
-  30 epochs, batch 50, frozen first layer) appropriate for adapting an
-  already-trained backbone.
 * ``synthetic_regime`` - lr 1e-3 over 120 epochs with nothing frozen, sized
   so a freshly initialized network visibly learns on the generated data.
+
+The reference fine-tuning regime (Adam, lr 3e-6, 30 epochs, batch 50) is the
+:class:`~sclmetric.training.TrainConfig` defaults; adapting an already-trained
+backbone also sets ``freeze=1``.
 """
 
 from __future__ import annotations
@@ -50,25 +51,5 @@ def hard_synth_config(seed: int = 0) -> SynthConfig:
     )
 
 
-def reference_regime(loss: str = "scl", seed: int = 0) -> TrainConfig:
-    return TrainConfig(
-        loss=loss,
-        learning_rate=3e-6,
-        epochs=30,
-        batch_size=50,
-        per_subject=4,
-        seed=seed,
-        freeze=1,
-    )
-
-
 def synthetic_regime(loss: str = "scl", seed: int = 0, epochs: int = 120) -> TrainConfig:
-    return TrainConfig(
-        loss=loss,
-        learning_rate=1e-3,
-        epochs=epochs,
-        batch_size=50,
-        per_subject=4,
-        seed=seed,
-        freeze=0,
-    )
+    return TrainConfig(loss=loss, learning_rate=1e-3, epochs=epochs, seed=seed)

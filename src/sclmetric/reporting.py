@@ -102,29 +102,22 @@ def _svg_frame(title: str, xlabel: str, ylabel: str) -> list[str]:
     ]
 
 
-_SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_CMC_COLOR = "#1f77b4"
+_HISTOGRAM_BINS = 20
 
 
-def write_line_svg(series: dict, title: str, xlabel: str, ylabel: str, path) -> None:
-    """Polyline plot of one or more named (x, y) series on shared axes."""
-    points = [p for pts in series.values() for p in pts]
-    if not points:
-        raise ValueError("nothing to plot")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
+def write_cmc_svg(curve: CmcCurve, path) -> None:
+    """Polyline plot of the CMC curve: match rate against rank."""
+    ys = curve.values
+    x_lo, x_hi = 1, len(ys)
     y_lo, y_hi = min(min(ys), 0.0), max(max(ys), 1e-12)
-    parts = _svg_frame(title, xlabel, ylabel)
-    for i, (name, pts) in enumerate(series.items()):
-        color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
-        coords = " ".join(
-            f"{_fmt(_scale(x, x_lo, x_hi, _ML, _W - _MR))},{_fmt(_scale(y, y_lo, y_hi, _H - _MB, _MT))}"
-            for x, y in pts
-        )
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="2" points="{coords}"/>')
-        parts.append(
-            f'<text x="{_W - _MR - 4}" y="{_MT + 16 * (i + 1)}" text-anchor="end" font-size="12" fill="{color}">{name}</text>'
-        )
+    parts = _svg_frame("Cumulative match characteristic", "rank", "match rate")
+    coords = " ".join(
+        f"{_fmt(_scale(x, x_lo, x_hi, _ML, _W - _MR))},{_fmt(_scale(y, y_lo, y_hi, _H - _MB, _MT))}"
+        for x, y in enumerate(ys, start=1)
+    )
+    parts.append(f'<polyline fill="none" stroke="{_CMC_COLOR}" stroke-width="2" points="{coords}"/>')
+    parts.append(f'<text x="{_W - _MR - 4}" y="{_MT + 16}" text-anchor="end" font-size="12" fill="{_CMC_COLOR}">cmc</text>')
     for frac in (0.0, 0.5, 1.0):
         xv = x_lo + frac * (x_hi - x_lo)
         yv = y_lo + frac * (y_hi - y_lo)
@@ -140,23 +133,18 @@ def write_line_svg(series: dict, title: str, xlabel: str, ylabel: str, path) -> 
         fh.write("\n")
 
 
-def write_cmc_svg(curve: CmcCurve, path, title: str = "Cumulative match characteristic") -> None:
-    pts = [(k, v) for k, v in enumerate(curve.values, start=1)]
-    write_line_svg({"cmc": pts}, title, "rank", "match rate", path)
-
-
-def write_score_histogram_svg(report: VerificationReport, path, bins: int = 20) -> None:
+def write_score_histogram_svg(report: VerificationReport, path) -> None:
     """Overlaid genuine/imposter score histograms (normalized bar heights)."""
     scores = list(report.genuine_scores) + list(report.imposter_scores)
     lo, hi = min(scores), max(scores)
     if hi == lo:
         hi = lo + 1.0
-    width = (hi - lo) / bins
+    width = (hi - lo) / _HISTOGRAM_BINS
 
     def counts(values):
-        c = [0] * bins
+        c = [0] * _HISTOGRAM_BINS
         for v in values:
-            idx = min(int((v - lo) / width), bins - 1)
+            idx = min(int((v - lo) / width), _HISTOGRAM_BINS - 1)
             c[idx] += 1
         return [x / len(values) for x in c]
 
@@ -164,7 +152,7 @@ def write_score_histogram_svg(report: VerificationReport, path, bins: int = 20) 
     i_counts = counts(report.imposter_scores)
     top = max(max(g_counts), max(i_counts), 1e-12)
     parts = _svg_frame("Genuine vs imposter score distribution", "distance", "fraction of pairs")
-    bar_w = (_W - _ML - _MR) / bins
+    bar_w = (_W - _ML - _MR) / _HISTOGRAM_BINS
     for name, series, color, shift in (
         ("genuine", g_counts, "#1f77b4", 0.0),
         ("imposter", i_counts, "#d62728", bar_w / 2),

@@ -10,10 +10,12 @@ for bit those of a per-unit loop that skips them.  Training is fully
 deterministic: (dataset, config, seed) fix the returned parameters
 bit-exactly, and a frozen layer prefix never changes.
 
-Two regimes are commonly used (see :mod:`sclmetric.presets`): the reference
-regime with learning rate 3e-6 over 30 epochs mirrors fine-tuning a large
-pretrained backbone, while the synthetic regime (1e-3, ~100+ epochs) is
-sized so a fresh small network visibly learns on generated data.
+The :class:`TrainConfig` defaults are the reference regime, learning rate
+3e-6 over 30 epochs, for fine-tuning a large pretrained backbone; that
+regime also freezes the first layer (``freeze=1``), while the default
+trains every layer.  :func:`sclmetric.presets.synthetic_regime` (1e-3,
+120 epochs) is sized so a fresh small network visibly learns on generated
+data.
 
 The per-epoch log is exported as CSV with columns
 ``epoch,sum_loss,mean_genuine,mean_imposter,seconds``.  For triplet runs,
@@ -41,6 +43,12 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators mirroring the parameter shapes."""
@@ -48,13 +56,10 @@ class AdamState:
     m: tuple
     v: tuple
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_model(cls, params: model.ModelParams, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        return cls(model.zero_gradients(params), model.zero_gradients(params), 0, beta1, beta2, eps)
+    def for_model(cls, params: model.ModelParams):
+        return cls(model.zero_gradients(params), model.zero_gradients(params))
 
 
 def _check_grad_shapes(params: model.ModelParams, grads) -> None:
@@ -77,7 +82,7 @@ def adam_step(params: model.ModelParams, grads, state: AdamState, lr: float):
     """
     _check_grad_shapes(params, grads)
     t = state.t + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
     def update(theta, g, m, v):
         m = b1 * m + (1.0 - b1) * g
@@ -92,7 +97,7 @@ def adam_step(params: model.ModelParams, grads, state: AdamState, lr: float):
     layers = tuple(model.Layer(w[0], b[0], layer.activation) for (w, b), layer in zip(steps, params.layers))
     m = tuple((w[1], b[1]) for w, b in steps)
     v = tuple((w[2], b[2]) for w, b in steps)
-    return model.ModelParams(layers), AdamState(m, v, t, b1, b2, eps)
+    return model.ModelParams(layers), AdamState(m, v, t)
 
 
 def sgd_step(params: model.ModelParams, grads, lr: float) -> model.ModelParams:
@@ -107,7 +112,9 @@ def sgd_step(params: model.ModelParams, grads, lr: float) -> model.ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything the training loop needs; defaults mirror the reference regime."""
+    """Everything the training loop needs.  The defaults are the reference
+    fine-tuning regime, except ``freeze``: that regime freezes the first layer
+    of a pretrained backbone, while a fresh network trains every layer."""
 
     loss: str = "scl"
     learning_rate: float = 3e-6
@@ -137,6 +144,8 @@ class TrainConfig:
             raise ConfigError("seed must be non-negative")
         if not self.hidden_dims or any(d < 1 for d in self.hidden_dims):
             raise ConfigError(f"hidden_dims must be positive, got {self.hidden_dims}")
+        if self.freeze > len(self.hidden_dims):
+            raise ConfigError(f"freeze={self.freeze} exceeds the model's {len(self.hidden_dims)} layers")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
 
 
@@ -200,10 +209,6 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
     """
     params = model.init_model([ds_train.dimension, *cfg.hidden_dims], cfg.seed)
     freeze = model.FreezeMask(cfg.freeze)
-    if freeze.frozen_layer_count > len(params.layers):
-        raise ConfigError(
-            f"freeze={cfg.freeze} exceeds the model's {len(params.layers)} layers"
-        )
     adam = AdamState.for_model(params)
     names = _SLOTS[cfg.loss]
     entries: list[EpochStats] = []

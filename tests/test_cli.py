@@ -192,6 +192,36 @@ class TestEval:
         assert report["flags"]["extended_gallery"] is True
         assert report["gallery_size"] == 2 + 5  # 30% test split of 8 subjects + distractors
 
+    @staticmethod
+    def write_distractors(path, subclasses_by_subject):
+        """A distractor CSV whose subjects 1000, 1001, ... hold the given subclasses."""
+        lines = ["subject_id,subclass,sample_index," + ",".join(f"f{k}" for k in range(SMALL_SYNTH["dim"]))]
+        for sid, subclasses in enumerate(subclasses_by_subject, start=1000):
+            for k, subclass in enumerate(subclasses):
+                lines.append(f"{sid},{subclass},{k}," + ",".join(str(0.5 * k + j) for j in range(SMALL_SYNTH["dim"])))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_distractor_subjects_without_intact_samples_are_skipped(self, tmp_path, trained):
+        cfg, data, ckpt = trained
+        distractors = self.write_distractors(tmp_path / "d.csv", ["NI", "I", "N"])
+        out = tmp_path / "eval_eg"
+        args = ["eval", ckpt, data, "--config", cfg, "--seed", "3", "--out", str(out), "--extended-gallery", distractors]
+        with pytest.warns(UserWarning, match=r"distractor subjects without non-injured samples skipped: \[1001\]"):
+            assert main(args) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["gallery_size"] == 2 + 2
+
+    def test_no_usable_distractor_exit_3(self, tmp_path, trained, capsys):
+        cfg, data, ckpt = trained
+        distractors = self.write_distractors(tmp_path / "d.csv", ["I", "II"])
+        out = tmp_path / "eval_eg"
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="skipped"):
+            rc = main(["eval", ckpt, data, "--config", cfg, "--out", str(out), "--extended-gallery", distractors])
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: no usable distractor subjects in {distractors}\n"
+
     def test_requested_ranks_all_reported_on_large_gallery(self, tmp_path):
         # 34 subjects -> 70/30 split leaves a 10-subject test gallery, so the
         # default rank set {1, 5, 10} fits exactly
@@ -386,6 +416,46 @@ class TestConfig:
         out = tmp_path / "cmp"
         assert main(["compare", data, "--config", cfg, "--repetitions", "2", "--out", str(out)]) == 2
         assert not (out / "compare_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"train": 3}', "config key 'train' must be an object"),
+            (None, "cannot read config {path}: "),
+            ("{", "config {path} is not valid JSON: "),
+            ("[1]", "config {path} must hold a JSON object"),
+            ('{"wat": 1}', "unknown config key 'wat'"),
+        ],
+        ids=["section-not-object", "unreadable", "invalid-json", "not-an-object", "unknown-top-level-key"],
+    )
+    def test_bad_config_document_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        # A missing dataset would exit 3, so exit 2 shows the config is checked first.
+        assert main(["train", str(tmp_path / "missing.csv"), "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: " + message.format(path=path))
+        assert not out.exists()
+
+    def test_non_integer_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SCLMETRIC_SEED", "1.5")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["train", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: SCLMETRIC_SEED must be an integer, got '1.5'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("freeze, dataset", [(3, "data"), (5, "missing")])
+    def test_freeze_past_model_depth_exit_2(self, tmp_path, dataset_csv, capsys, freeze, dataset):
+        _, data = dataset_csv
+        path = data if dataset == "data" else str(tmp_path / "missing.csv")
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["train", path, "--freeze", str(freeze), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: freeze={freeze} exceeds the model's 2 layers\n"
+        assert not out.exists()
 
     def test_resolved_default_config(self, tmp_path):
         out = tmp_path / "synth"

@@ -166,6 +166,47 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="line 2"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty file, expected header"),
+            ("subject_id,subclass,sample_index\n", "line 1: header declares no feature columns"),
+            ("subject_id,subclass,sample_index,f0,g1\n", "line 1: feature column 1 must be named f1, got 'g1'"),
+            (
+                "subject_id,subclass,sample_index,f0\n0,N,x,1.0\n",
+                "line 2: bad integer field (invalid literal for int() with base 10: 'x')",
+            ),
+            ("subject_id,subclass,sample_index,f0\n-1,N,0,1.0\n", "line 2: ids and indices must be non-negative"),
+            ("subject_id,subclass,sample_index,f0\n0,N,-2,1.0\n", "line 2: ids and indices must be non-negative"),
+            (
+                "subject_id,subclass,sample_index,f0\n0,N,0,abc\n",
+                "line 2: bad float field (could not convert string to float: 'abc')",
+            ),
+            (
+                "subject_id,subclass,sample_index,f0\n0,N,0,1.0\n\n\n1,N,0,zz\n",
+                "line 5: bad float field (could not convert string to float: 'zz')",
+            ),
+        ],
+        ids=["empty", "no-features", "misnamed-feature", "bad-int", "negative-id", "negative-index", "bad-float",
+             "blank-lines-counted"],
+    )
+    def test_parse_error_text_and_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_crlf_loads_the_same_bits_as_lf(self, tmp_path):
+        ds = generate_synthetic(small_config())
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        save_embeddings(ds, lf)
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        a, b = load_embeddings(lf), load_embeddings(crlf)
+        assert a == b
+        for ra, rb in zip(a.subjects, b.subjects):
+            assert [s.embedding.tobytes() for s in ra.samples] == [s.embedding.tobytes() for s in rb.samples]
+
 
 class TestSubjectSplit:
     def test_70_30_sizes(self):

@@ -7,6 +7,7 @@ reproduces bit-for-bit, so every comparison below is exact (no tolerance).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -406,6 +407,15 @@ class TestExtractEmbeddings:
         for s, e in zip(samples, batch):
             single, _ = model.forward(m, s.embedding)
             assert np.array_equal(e, single)
+
+    def test_rows_past_several_chunks_keep_per_sample_bits(self):
+        ds = generate_synthetic(replace(presets.easy_synth_config(), n_subjects=129))
+        m = model.init_model([16, 8, 4], seed=1)
+        samples = ds.all_samples()[:1027]  # two 512-row chunks and three rows
+        batch = extract_embeddings(m, samples)
+        assert len(batch) == len(samples) == 1027
+        single = np.array([model.forward(m, s.embedding)[0] for s in samples])
+        assert np.array(batch).tobytes() == single.tobytes()
 
 
 # --- repeated evaluation -------------------------------------------------------

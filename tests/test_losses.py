@@ -354,6 +354,22 @@ class TestRowKernels:
         # Some active hinges round differently under t * t, so the kernel must use **.
         assert any(0 < t and t * t != t**2 for t in slack)
 
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-1e150, 1e150, allow_nan=False)] * 4), min_size=1, max_size=40
+        ),
+        st.floats(5e-324, 1e150),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_contrastive_imposter_values_are_python_pow_bits(self, rows, margin):
+        x = np.array(rows).reshape(-1, 2, 2)
+        x1, x2 = x[:, 0], x[:, 1]
+        values, _ = losses.contrastive_loss_rows(x1, x2, np.ones(len(x), dtype=int), margin)
+        dist = np.sqrt(losses.squared_distances(x1, x2))
+        slack = (margin - dist).tolist()
+        expected = 0.5 * np.array([t**2 if d < margin else 0.0 for t, d in zip(slack, dist.tolist())])
+        assert values.tobytes() == expected.tobytes()
+
     def test_triplet_rows(self):
         rng = np.random.default_rng(57)
         n = 400
