@@ -251,6 +251,10 @@ def cmd_eval(args) -> int:
             f"checkpoint expects dimension {ckpt.params.input_dim}, dataset has {ds.dimension}"
         )
     distractors = _load_distractors(args.extended_gallery) if args.extended_gallery else None
+    if distractors and len(distractors[0][1]) != ds.dimension:
+        raise DataError(
+            f"distractor file {args.extended_gallery} has dimension {len(distractors[0][1])}, dataset has {ds.dimension}"
+        )
     spec = conf["split"]
     reps = [args.repetition] if args.repetition is not None else range(spec.repetitions)
     report = evaluation.evaluate_repetitions(

@@ -111,6 +111,13 @@ class TestTrain:
         assert rc == 0
         assert model.load_checkpoint(out / "checkpoint.ckpt").metadata["loss"] == "cl"
 
+    def test_tl_margin_flag_sets_only_the_triplet_margin(self, tmp_path, dataset_csv):
+        cfg, data = dataset_csv
+        out = tmp_path / "tl"
+        assert main(["train", data, "--config", cfg, "--out", str(out), "--loss", "tl", "--margin", "0.7"]) == 0
+        train_cfg = model.load_checkpoint(out / "checkpoint.ckpt").metadata["config"]["train"]
+        assert (train_cfg["loss"], train_cfg["tl_margin"], train_cfg["cl_margin"]) == ("tl", 0.7, 2.0)
+
     def test_margin_with_scl_is_config_error(self, tmp_path, dataset_csv):
         cfg, data = dataset_csv
         rc = main(["train", data, "--config", cfg, "--out", str(tmp_path / "x"), "--loss", "scl", "--margin", "2"])
@@ -271,6 +278,29 @@ class TestEval:
         assert rc == 3
         assert "corrupt checkpoint" in capsys.readouterr().err
 
+
+    def test_relu_last_layer_checkpoint_exit_3(self, tmp_path, trained, capsys):
+        cfg, data, ckpt = trained
+        mangled = bytearray(open(ckpt, "rb").read())
+        mangled[16 + 9 + 8] = 1  # the second (last) layer's activation code: relu
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(mangled))
+        capsys.readouterr()
+        rc = main(["eval", str(bad), data, "--config", cfg, "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == "data error: corrupt checkpoint: final layer activation must be identity\n"
+
+    def test_distractor_dimension_mismatch_names_the_file(self, tmp_path, trained, capsys):
+        cfg, data, ckpt = trained
+        lines = ["subject_id,subclass,sample_index," + ",".join(f"f{k}" for k in range(4)), "1000,N,0,1,2,3,4"]
+        distractors = tmp_path / "d4.csv"
+        distractors.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        rc = main([
+            "eval", ckpt, data, "--config", cfg, "--out", str(tmp_path / "x"), "--extended-gallery", str(distractors),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err == f"data error: distractor file {distractors} has dimension 4, dataset has 6\n"
 
 class TestCompare:
     def test_table_shape_and_determinism(self, tmp_path, dataset_csv):
@@ -445,6 +475,25 @@ class TestConfig:
         capsys.readouterr()
         assert main(["train", str(tmp_path / "missing.csv"), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: SCLMETRIC_SEED must be an integer, got '1.5'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"learning_rate": -0.5}, "learning_rate must be >= 0"),
+            ({"freeze": -1}, "freeze must be >= 0"),
+            ({"seed": -1}, "seed must be non-negative"),
+            ({"hidden_dims": []}, "hidden_dims must be positive, got []"),
+            ({"hidden_dims": [4, 0]}, "hidden_dims must be positive, got [4, 0]"),
+        ],
+    )
+    def test_train_section_out_of_range_exit_2(self, tmp_path, capsys, values, message):
+        cfg = write_config(tmp_path, train=values)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        # A missing dataset would exit 3, so exit 2 shows the config is checked first.
+        assert main(["train", str(tmp_path / "missing.csv"), "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("freeze, dataset", [(3, "data"), (5, "missing")])

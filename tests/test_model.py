@@ -444,3 +444,56 @@ class TestCheckpointFuzz:
             path.write_bytes(bytes(mangled))
             with pytest.raises(CheckpointError):
                 model.load_checkpoint(path)
+
+
+def write_raw_checkpoint(path, layers, meta=b"{}"):
+    """A version-1 checkpoint with the given (out, in, act code) layer headers,
+    zero parameters of the sizes they declare, and raw metadata bytes."""
+    data = b"SCLCKPT\x00" + struct.pack("<II", model.CHECKPOINT_VERSION, len(layers))
+    data += b"".join(struct.pack("<IIB", *layer) for layer in layers)
+    data += bytes(sum(8 * out_dim * in_dim + 8 * out_dim for out_dim, in_dim, _ in layers))
+    path.write_bytes(data + struct.pack("<I", len(meta)) + meta)
+    return path
+
+
+class TestCheckpointErrors:
+    """The exact CheckpointError text of each mangled file the loader refuses
+    after its size checks pass."""
+
+    @pytest.mark.parametrize(
+        "layers, meta, message",
+        [
+            ([], b"{}", "corrupt checkpoint: zero layers"),
+            (
+                [(4, 3, 0)], b"\xff{}",
+                "corrupt checkpoint: bad metadata ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)",
+            ),
+            ([(4, 3, 0)], b"x", "corrupt checkpoint: bad metadata (Expecting value: line 1 column 1 (char 0))"),
+            ([(4, 3, 1), (2, 5, 0)], b"{}", "corrupt checkpoint: layer dims do not chain: 4 -> 5"),
+            ([(4, 3, 1), (2, 4, 1)], b"{}", "corrupt checkpoint: final layer activation must be identity"),
+        ],
+        ids=["zero-layers", "metadata-not-utf8", "metadata-not-json", "dims-do-not-chain", "relu-last-layer"],
+    )
+    def test_message(self, tmp_path, layers, meta, message):
+        path = write_raw_checkpoint(tmp_path / "model.ckpt", layers, meta)
+        with pytest.raises(CheckpointError) as info:
+            model.load_checkpoint(path)
+        assert str(info.value) == message
+
+    def test_valid_raw_checkpoint_loads(self, tmp_path):
+        ckpt = model.load_checkpoint(write_raw_checkpoint(tmp_path / "model.ckpt", [(4, 3, 1), (2, 4, 0)], b'{"a": 1}'))
+        assert ckpt.params == model.ModelParams(
+            (model.Layer(np.zeros((4, 3)), np.zeros(4), "relu"), model.Layer(np.zeros((2, 4)), np.zeros(2), "identity"))
+        )
+        assert ckpt.metadata == {"a": 1}
+
+
+class TestConstructionErrors:
+    def test_negative_freeze_mask(self):
+        with pytest.raises(ConfigError, match=r"^frozen_layer_count must be >= 0$"):
+            FreezeMask(-1)
+
+    def test_zero_layer_width(self):
+        with pytest.raises(ConfigError, match=r"^layer widths must be positive, got \[4, 0, 2\]$"):
+            init_model([4, 0, 2], seed=0)
+
