@@ -181,9 +181,11 @@ def _load_dataset(path) -> Dataset:
     return load_embeddings(path)
 
 
-def _load_distractors(path):
-    """One intact image per subject from a second embedding file."""
+def _load_distractors(path, dimension: int):
+    """One intact image per subject from a second embedding file of the dataset's dimension."""
     ds = _load_dataset(path)
+    if ds.dimension != dimension:
+        raise DataError(f"distractor file {path} has dimension {ds.dimension}, dataset has {dimension}")
     distractors = []
     skipped = []
     for record in ds.subjects:
@@ -250,11 +252,7 @@ def cmd_eval(args) -> int:
         raise DataError(
             f"checkpoint expects dimension {ckpt.params.input_dim}, dataset has {ds.dimension}"
         )
-    distractors = _load_distractors(args.extended_gallery) if args.extended_gallery else None
-    if distractors and len(distractors[0][1]) != ds.dimension:
-        raise DataError(
-            f"distractor file {args.extended_gallery} has dimension {len(distractors[0][1])}, dataset has {ds.dimension}"
-        )
+    distractors = _load_distractors(args.extended_gallery, ds.dimension) if args.extended_gallery else None
     spec = conf["split"]
     reps = [args.repetition] if args.repetition is not None else range(spec.repetitions)
     report = evaluation.evaluate_repetitions(

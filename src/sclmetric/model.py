@@ -12,7 +12,7 @@ Checkpoints are a versioned binary format::
     magic   8 bytes   b"SCLCKPT\\x00"
     version u32 LE    currently 1
     layers  u32 LE    layer count, then per layer: out u32, in u32, act u8
-    data    per layer: weight row-major float64 LE, then bias float64 LE
+    data    ModelParams.vector, float64 LE: per layer, row-major weight then bias
     meta    u32 LE byte length + UTF-8 JSON (epoch, seed, loss history, ...)
 
 Loading refuses unknown versions and raises on truncated or mangled files;
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,10 +49,10 @@ class Layer:
             raise DataError(f"layer shapes inconsistent: weight {w.shape}, bias {b.shape}")
         if self.activation not in _ACT_CODES:
             raise DataError(f"unknown activation {self.activation!r}")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
+        for name, a in (("weight", w), ("bias", b)):
+            a = a.copy() if a.flags.writeable else a  # so the caller's array stays writable and unshared
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def out_dim(self) -> int:
@@ -63,9 +63,25 @@ class Layer:
         return self.weight.shape[1]
 
 
+def _split(vector: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    """``(weight, bias, activation)`` per layer of the given ``(out, in, activation)`` shapes, with
+    weight and bias views of ``vector`` in the checkpoint's data layout, which no other code knows."""
+    views, at = [], 0
+    for out_dim, in_dim, act in shapes:
+        end = at + out_dim * in_dim
+        views.append((vector[at:end].reshape(out_dim, in_dim), vector[end : end + out_dim], act))
+        at = end + out_dim
+    return views
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
+    """The network.  ``vector`` is a read-only copy of every parameter in checkpoint
+    order; the layers' weights and biases are views into it."""
+
     layers: tuple[Layer, ...]
+    vector: np.ndarray = field(init=False, repr=False)
+    _shapes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -77,6 +93,11 @@ class ModelParams:
                 )
         if self.layers[-1].activation != "identity":
             raise DataError("final layer activation must be identity")
+        object.__setattr__(self, "_shapes", tuple((l.out_dim, l.in_dim, l.activation) for l in self.layers))
+        vector = self.join([(l.weight, l.bias) for l in self.layers])
+        vector.setflags(write=False)  # before splitting, so the views are read-only too
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "layers", tuple(Layer(*view) for view in _split(vector, self._shapes)))
 
     @property
     def input_dim(self) -> int:
@@ -86,17 +107,29 @@ class ModelParams:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    def split(self, vector: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per-layer ``(weight, bias)`` views of a vector laid out like ``self.vector``."""
+        return tuple((w, b) for w, b, _ in _split(vector, self._shapes))
+
+    def join(self, pairs) -> np.ndarray:
+        """A new vector laid out like ``self.vector`` from ``(weight, bias)`` pairs shaped like the layers."""
+        if len(pairs) != len(self._shapes):
+            raise ConfigError("gradient structure does not match model depth")
+        vector = np.empty(sum(out_dim * in_dim + out_dim for out_dim, in_dim, _ in self._shapes))
+        for (w, b), (pw, pb) in zip(self.split(vector), pairs):
+            if pw.shape != w.shape or pb.shape != b.shape:
+                raise ConfigError(f"gradient shapes {pw.shape}/{pb.shape} do not match layer {w.shape}/{b.shape}")
+            w[...], b[...] = pw, pb
+        return vector
+
+    def with_vector(self, vector: np.ndarray) -> ModelParams:
+        """The same layers holding the parameters of ``vector`` (copied)."""
+        return ModelParams(tuple(Layer(*view) for view in _split(vector, self._shapes)))
+
     def __eq__(self, other):
         if not isinstance(other, ModelParams):
             return NotImplemented
-        if len(self.layers) != len(other.layers):
-            return False
-        return all(
-            a.activation == b.activation
-            and np.array_equal(a.weight, b.weight)
-            and np.array_equal(a.bias, b.bias)
-            for a, b in zip(self.layers, other.layers)
-        )
+        return self._shapes == other._shapes and np.array_equal(self.vector, other.vector)
 
 
 @dataclass(frozen=True)
@@ -224,7 +257,7 @@ def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask =
 
 def zero_gradients(m: ModelParams):
     """An all-zero gradient structure shaped like the model's parameters."""
-    return tuple((np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in m.layers)
+    return m.split(np.zeros_like(m.vector))
 
 
 def add_gradients(total, extra):
@@ -236,16 +269,10 @@ def save_checkpoint(m: ModelParams, metadata: dict, path) -> None:
     """Write the versioned binary checkpoint described in the module docs."""
     meta_bytes = json.dumps(metadata, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(m.layers)))
-        for layer in m.layers:
-            fh.write(struct.pack("<IIB", layer.out_dim, layer.in_dim, _ACT_CODES[layer.activation]))
-        for layer in m.layers:
-            fh.write(np.ascontiguousarray(layer.weight, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
+        fh.write(_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(m.layers)))
+        fh.write(b"".join(struct.pack("<IIB", o, i, _ACT_CODES[act]) for o, i, act in m._shapes))
+        fh.write(np.ascontiguousarray(m.vector, dtype="<f8").tobytes())
+        fh.write(struct.pack("<I", len(meta_bytes)) + meta_bytes)
 
 
 def _bytes_left(fh) -> int:
@@ -288,13 +315,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(
                 f"corrupt checkpoint: truncated, layers declare {declared} bytes, {_bytes_left(fh)} left"
             )
-        layers = []
-        for li, (out_dim, in_dim, act) in enumerate(shapes):
-            wbuf = _read_exact(fh, 8 * out_dim * in_dim, f"layer {li} weights")
-            bbuf = _read_exact(fh, 8 * out_dim, f"layer {li} bias")
-            weight = np.frombuffer(wbuf, dtype="<f8").reshape(out_dim, in_dim)
-            bias = np.frombuffer(bbuf, dtype="<f8")
-            layers.append(Layer(weight, bias, act))
+        vector = np.frombuffer(fh.read(declared), dtype="<f8")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
         meta_bytes = _read_exact(fh, meta_len, "metadata")
         trailing = fh.read(1)
@@ -305,7 +326,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"corrupt checkpoint: bad metadata ({exc})") from None
     try:
-        params = ModelParams(tuple(layers))
+        params = ModelParams(tuple(Layer(*view) for view in _split(vector, shapes)))
     except DataError as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from None
     return Checkpoint(version, params, metadata)

@@ -62,52 +62,27 @@ class AdamState:
         return cls(model.zero_gradients(params), model.zero_gradients(params))
 
 
-def _check_grad_shapes(params: model.ModelParams, grads) -> None:
-    if len(grads) != len(params.layers):
-        raise ConfigError("gradient structure does not match model depth")
-    for layer, (gw, gb) in zip(params.layers, grads):
-        if gw.shape != layer.weight.shape or gb.shape != layer.bias.shape:
-            raise ConfigError(
-                f"gradient shapes {gw.shape}/{gb.shape} do not match layer "
-                f"{layer.weight.shape}/{layer.bias.shape}"
-            )
-
-
 def adam_step(params: model.ModelParams, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update; returns (new params, new state).
 
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;  with bias-corrected
-    m_hat, v_hat the update is theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
-    Frozen parameters arrive with zero gradients and are left bit-identical.
+    m_hat, v_hat the update is theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
+    on the parameter vector.  Frozen parameters arrive with zero gradients and
+    are left bit-identical.
     """
-    _check_grad_shapes(params, grads)
+    g, m, v = (params.join(pairs) for pairs in (grads, state.m, state.v))
     t = state.t + 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-
-    def update(theta, g, m, v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
-        return theta - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
-
-    steps = [
-        (update(layer.weight, gw, mw, vw), update(layer.bias, gb, mb, vb))
-        for layer, (gw, gb), (mw, mb), (vw, vb) in zip(params.layers, grads, state.m, state.v)
-    ]
-    layers = tuple(model.Layer(w[0], b[0], layer.activation) for (w, b), layer in zip(steps, params.layers))
-    m = tuple((w[1], b[1]) for w, b in steps)
-    v = tuple((w[2], b[2]) for w, b in steps)
-    return model.ModelParams(layers), AdamState(m, v, t)
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
+    theta = params.vector - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return params.with_vector(theta), AdamState(params.split(m), params.split(v), t)
 
 
 def sgd_step(params: model.ModelParams, grads, lr: float) -> model.ModelParams:
     """Plain gradient descent: theta <- theta - lr * g."""
-    _check_grad_shapes(params, grads)
-    new_layers = [
-        model.Layer(layer.weight - lr * gw, layer.bias - lr * gb, layer.activation)
-        for layer, (gw, gb) in zip(params.layers, grads)
-    ]
-    return model.ModelParams(tuple(new_layers))
+    return params.with_vector(params.vector - lr * params.join(grads))
 
 
 @dataclass(frozen=True)

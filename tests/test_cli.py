@@ -278,7 +278,6 @@ class TestEval:
         assert rc == 3
         assert "corrupt checkpoint" in capsys.readouterr().err
 
-
     def test_relu_last_layer_checkpoint_exit_3(self, tmp_path, trained, capsys):
         cfg, data, ckpt = trained
         mangled = bytearray(open(ckpt, "rb").read())
@@ -301,6 +300,7 @@ class TestEval:
         ])
         assert rc == 3
         assert capsys.readouterr().err == f"data error: distractor file {distractors} has dimension 4, dataset has 6\n"
+
 
 class TestCompare:
     def test_table_shape_and_determinism(self, tmp_path, dataset_csv):

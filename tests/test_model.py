@@ -347,6 +347,60 @@ class TestFoldDifferential:
             assert np.isfinite(gw).all() and np.isfinite(gb).all()
 
 
+class TestParameterVector:
+    def test_layers_are_read_only_views_in_checkpoint_order(self, tmp_path):
+        m = init_model([5, 8, 4], seed=9)
+        assert not m.vector.flags.writeable and m.vector.dtype == np.float64
+        for layer in m.layers:
+            for a in (layer.weight, layer.bias):
+                assert np.shares_memory(a, m.vector) and not a.flags.writeable
+        expected = np.concatenate([np.concatenate((l.weight.ravel(), l.bias)) for l in m.layers])
+        assert m.vector.tobytes() == expected.tobytes()
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(m, {}, path)
+        assert m.vector.astype("<f8").tobytes() in path.read_bytes()
+        loaded = model.load_checkpoint(path).params
+        assert all(np.shares_memory(l.weight, loaded.vector) and np.shares_memory(l.bias, loaded.vector) for l in loaded.layers)
+
+    def test_writable_input_is_copied_not_frozen(self):
+        base = np.eye(2).ravel().copy()
+        bias = np.zeros(2)
+        layer = model.Layer(base.reshape(2, 2), bias, "identity")
+        m = model.ModelParams((layer,))
+        assert base.flags.writeable and bias.flags.writeable
+        base[0] = 7.0
+        bias[1] = 5.0
+        assert layer.weight.tolist() == [[1.0, 0.0], [0.0, 1.0]] and layer.bias.tolist() == [0.0, 0.0]
+        assert m.layers[0].weight.tolist() == [[1.0, 0.0], [0.0, 1.0]] and m.layers[0].bias.tolist() == [0.0, 0.0]
+        assert m.vector.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+
+    def test_no_memory_shared_with_read_only_input(self):
+        weight = np.frombuffer(np.arange(6.0).tobytes()).reshape(2, 3)
+        bias = np.frombuffer(np.ones(2).tobytes())
+        m = model.ModelParams((model.Layer(weight, bias, "identity"),))
+        assert not np.shares_memory(m.vector, weight) and not np.shares_memory(m.vector, bias)
+        assert m.layers[0].weight.tolist() == weight.tolist()
+
+    def test_split_and_join_round_trip(self):
+        m = init_model([3, 4, 2], seed=1)
+        pairs = m.split(np.arange(m.vector.size, dtype=np.float64))
+        assert [(w.shape, b.shape) for w, b in pairs] == [((4, 3), (4,)), ((2, 4), (2,))]
+        assert pairs[0][1].tolist() == [12.0, 13.0, 14.0, 15.0] and pairs[1][0][0, 0] == 16.0
+        assert m.join(pairs).tolist() == list(range(m.vector.size))
+        assert m.join([(l.weight, l.bias) for l in m.layers]).tobytes() == m.vector.tobytes()
+        assert m.with_vector(m.vector) == m
+
+    def test_equality_compares_architecture_and_values(self):
+        m = init_model([3, 4, 2], seed=1)
+        assert m.with_vector(m.vector) == m
+        assert m.with_vector(m.vector + 1.0) != m
+        # The same 26 numbers as one 2x12 layer, and with an identity first layer.
+        one_layer = model.ModelParams((model.Layer(m.vector[:24].reshape(2, 12), m.vector[24:], "identity"),))
+        identity_first = model.ModelParams((model.Layer(m.layers[0].weight, m.layers[0].bias, "identity"), m.layers[1]))
+        for other in (one_layer, identity_first):
+            assert other.vector.tobytes() == m.vector.tobytes() and other != m
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         m = init_model([5, 8, 4], seed=9)
@@ -496,4 +550,3 @@ class TestConstructionErrors:
     def test_zero_layer_width(self):
         with pytest.raises(ConfigError, match=r"^layer widths must be positive, got \[4, 0, 2\]$"):
             init_model([4, 0, 2], seed=0)
-

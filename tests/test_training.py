@@ -62,6 +62,21 @@ class TestAdamStep:
         with pytest.raises(ConfigError):
             adam_step(m, bad, AdamState.for_model(m), lr=0.1)
 
+    def test_mismatch_messages(self):
+        m = model.init_model([3, 2], seed=0)
+        with pytest.raises(ConfigError, match=r"^gradient structure does not match model depth$"):
+            adam_step(m, (), AdamState.for_model(m), lr=0.1)
+        bad = ((np.zeros((2, 4)), np.zeros(2)),)
+        with pytest.raises(ConfigError, match=r"^gradient shapes \(2, 4\)/\(2,\) do not match layer \(2, 3\)/\(2,\)$"):
+            sgd_step(m, bad, lr=0.1)
+
+    def test_moments_are_per_layer_views_of_one_vector(self):
+        m = model.init_model([3, 4, 2], seed=0)
+        _, state = adam_step(m, grad_like(m, 1.0, 2.0), AdamState.for_model(m), lr=0.1)
+        assert [(w.shape, b.shape) for w, b in state.m] == [((4, 3), (4,)), ((2, 4), (2,))]
+        assert state.v[0][0].base is state.v[1][1].base is not None
+        assert state.m[1][1].tolist() == [(1.0 - 0.9) * 2.0] * 2
+
 
 class TestSgdStep:
     def test_zero_lr_identity(self):
