@@ -388,7 +388,6 @@ class TestParameterVector:
         assert pairs[0][1].tolist() == [12.0, 13.0, 14.0, 15.0] and pairs[1][0][0, 0] == 16.0
         assert m.join(pairs).tolist() == list(range(m.vector.size))
         assert m.join([(l.weight, l.bias) for l in m.layers]).tobytes() == m.vector.tobytes()
-        assert m.with_vector(m.vector) == m
 
     def test_equality_compares_architecture_and_values(self):
         m = init_model([3, 4, 2], seed=1)
