@@ -12,8 +12,12 @@ and :class:`~sclmetric.evaluation.EvalConfig`: the accepted keys, their JSON
 types and their defaults (the easy synthetic preset for ``synth``) all come
 from those dataclasses, and each section is built by its dataclass, which
 range-checks it.  Unknown keys, values of the wrong JSON type (list entries
-included) and out-of-range values are config errors, raised before any
-input is read.  Resolved values are embedded exactly as given.
+included), non-finite numbers, out-of-range values and a file that is not
+UTF-8 JSON are config errors.  :func:`main` resolves the config and creates
+``--out`` once, before any input is read, and hands each ``cmd_*`` function
+``(args, cfg, conf, out)``: the flags, the resolved document, the built
+sections and the output directory.  Resolved values are embedded exactly as
+given.
 
 Seed resolution order: ``--seed`` flag, then the config file, then the
 ``SCLMETRIC_SEED`` environment variable, then 0.  Section-level seeds
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
@@ -105,7 +110,7 @@ def _load_config(path) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
@@ -160,6 +165,10 @@ def _resolve_config(args) -> tuple[dict, dict]:
 
     built = {}
     for name, (cls, _) in _SECTIONS.items():
+        for key, value in cfg[name].items():
+            values = value if isinstance(value, (list, tuple)) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"config key {name + '.' + key!r} must be finite")
         if any(f.name == "seed" for f in fields(cls)):
             cfg[name].setdefault("seed", cfg["seed"])
         built[name] = cls(**cfg[name])
@@ -201,9 +210,7 @@ def _load_distractors(path, dimension: int):
     return distractors
 
 
-def cmd_synth(args) -> int:
-    _, conf = _resolve_config(args)
-    out = _out_dir(args)
+def cmd_synth(args, cfg: dict, conf: dict, out: Path) -> int:
     ds = generate_synthetic(conf["synth"])
     path = out / "dataset.csv"
     save_embeddings(ds, path)
@@ -220,9 +227,7 @@ def _training_dataset(ds: Dataset, conf: dict, repetition: int | None):
     return train_ds, training.config_for_repetition(conf["train"], repetition)
 
 
-def cmd_train(args) -> int:
-    cfg, conf = _resolve_config(args)
-    out = _out_dir(args)
+def cmd_train(args, cfg: dict, conf: dict, out: Path) -> int:
     ds = _load_dataset(args.dataset)
     train_ds, train_cfg = _training_dataset(ds, conf, args.repetition)
     params, log = training.train(train_ds, train_cfg)
@@ -243,9 +248,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg, conf = _resolve_config(args)
-    out = _out_dir(args)
+def cmd_eval(args, cfg: dict, conf: dict, out: Path) -> int:
     ckpt = model.load_checkpoint(args.checkpoint)
     ds = _load_dataset(args.dataset)
     if ckpt.params.input_dim != ds.dimension:
@@ -256,7 +259,7 @@ def cmd_eval(args) -> int:
     spec = conf["split"]
     reps = [args.repetition] if args.repetition is not None else range(spec.repetitions)
     report = evaluation.evaluate_repetitions(
-        ds, spec, reps, lambda rep, train_ds: ckpt.params, distractors=distractors, **asdict(conf["eval"])
+        ds, spec, reps, lambda rep, train_ds: ckpt.params, conf["eval"], distractors=distractors
     )
 
     payload = {
@@ -284,9 +287,7 @@ def cmd_eval(args) -> int:
 COMPARE_ORDER = ("cl", "tl", "scl")
 
 
-def cmd_compare(args) -> int:
-    cfg, conf = _resolve_config(args)
-    out = _out_dir(args)
+def cmd_compare(args, cfg: dict, conf: dict, out: Path) -> int:
     ds = _load_dataset(args.dataset)
 
     table = {}
@@ -372,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg, conf = _resolve_config(args)
+        return args.func(args, cfg, conf, _out_dir(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -308,16 +308,25 @@ def save_embeddings(ds: Dataset, path) -> None:
                 fh.write(f"{s.subject_id},{s.subclass.value},{s.sample_index},{values}\n")
 
 
+def _utf8_lines(fh, path):
+    """The lines of a text file opened as UTF-8; a byte that does not decode is a ParseError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_embeddings(path) -> Dataset:
     """Parse an embedding CSV into a Dataset.
 
     The dimension is inferred from the header and enforced on every row.
     Malformed rows, inconsistent dimensions, and duplicate
     (subject, subclass, index) keys raise :class:`ParseError` naming the
-    1-based line number.
+    1-based line number; bytes that are not UTF-8 raise one naming the file.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline()
+        lines = _utf8_lines(fh, path)
+        header = next(lines, "")
         if not header:
             raise ParseError(f"{path}: line 1: empty file, expected header")
         fields = header.rstrip("\n").rstrip("\r").split(",")
@@ -332,7 +341,7 @@ def load_embeddings(path) -> Dataset:
 
         samples: list[Sample] = []
         seen: set[tuple[int, str, int]] = set()
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue

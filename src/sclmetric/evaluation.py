@@ -49,7 +49,7 @@ reproduces that repetition's protocol result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -123,8 +123,9 @@ class EvalConfig:
     whether the inter-class statistic unit-normalizes embeddings, and how
     many verification pairs are sampled per label.
 
-    Its defaults are the defaults of :func:`evaluate_model` and
-    :func:`repeated_evaluation`.
+    These fields are declared here only: :func:`evaluate_model` and
+    :func:`repeated_evaluation` take them as keyword options and build an
+    ``EvalConfig`` from them before any work, so its checks run first.
     """
 
     ranks: tuple[int, ...] = (1, 5, 10)
@@ -422,21 +423,19 @@ def evaluate_model(
     test_ds: Dataset,
     *,
     repetition: int = 0,
-    ranks=EvalConfig.ranks,
-    target_fars=EvalConfig.target_fars,
-    normalize: bool = EvalConfig.normalize,
-    verification_pairs: int = EvalConfig.verification_pairs,
     distractors=None,
     pair_seed: int = 0,
+    **options,
 ) -> RepetitionResult:
     """Single-split evaluation of a fixed model on a test dataset.
 
-    Identification uses a single-image gallery (optionally extended with
-    distractors); requested ranks beyond the gallery size are dropped.  The
-    inter-class statistic is computed on the unextended gallery so that it
-    stays comparable across runs.  Every gallery and probe sample is mapped
-    through the network once.
+    ``options`` are :class:`EvalConfig` fields.  Identification uses a
+    single-image gallery (optionally extended with distractors); requested
+    ranks beyond the gallery size are dropped.  The inter-class statistic is
+    computed on the unextended gallery so that it stays comparable across
+    runs.  Every gallery and probe sample is mapped through the network once.
     """
+    conf = EvalConfig(**options)
     part = gallery_probe_partition(test_ds, single_image_gallery=True)
     eval_part = extend_gallery(part, distractors) if distractors else part
     gallery_sids = np.array([s.subject_id for s in eval_part.gallery])
@@ -445,15 +444,14 @@ def evaluate_model(
     probe_emb = _forward_rows(params, [s.embedding for s in part.probe])
 
     curve = _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids)
-    usable_ranks = tuple(k for k in ranks if 1 <= k <= len(curve.values))
-    accuracies = {k: rank_k_accuracy(curve, k) for k in usable_ranks}
+    accuracies = {k: rank_k_accuracy(curve, k) for k in conf.ranks if k <= len(curve.values)}
 
-    pairs = sample_verification_pairs(test_ds, verification_pairs, pair_seed)
-    verification = gar_at_far(verification_scores(pairs, params), target_fars)
+    pairs = sample_verification_pairs(test_ds, conf.verification_pairs, pair_seed)
+    verification = gar_at_far(verification_scores(pairs, params), conf.target_fars)
 
     # extend_gallery appends distractors, so the base gallery leads.
     base = len(part.gallery)
-    icd = _inter_class_mean(gallery_sids[:base], gallery_emb[:base], probe_sids, probe_emb, normalize)
+    icd = _inter_class_mean(gallery_sids[:base], gallery_emb[:base], probe_sids, probe_emb, conf.normalize)
 
     return RepetitionResult(
         repetition=repetition,
@@ -466,18 +464,12 @@ def evaluate_model(
     )
 
 
-def aggregate_results(
-    results,
-    ranks,
-    *,
-    extended_gallery: bool = False,
-    normalized: bool = True,
-) -> EvalReport:
+def aggregate_results(results, conf: EvalConfig, *, extended_gallery: bool = False) -> EvalReport:
     """Mean/std aggregation of repetition results (population std, ddof 0)."""
     results = tuple(results)
     if not results:
         raise ProtocolError("nothing to aggregate")
-    usable_ranks = tuple(k for k in ranks if all(k in r.rank_accuracies for r in results))
+    usable_ranks = tuple(k for k in conf.ranks if all(k in r.rank_accuracies for r in results))
     rank_mean = {k: _sequential_mean([r.rank_accuracies[k] for r in results]) for k in usable_ranks}
     rank_std = {k: _sequential_std([r.rank_accuracies[k] for r in results]) for k in usable_ranks}
     min_len = min(len(r.cmc.values) for r in results)
@@ -501,7 +493,7 @@ def aggregate_results(
         gar_mean=gar_mean,
         inter_class_mean=icd_mean,
         extended_gallery=extended_gallery,
-        normalized=normalized,
+        normalized=conf.normalize,
     )
 
 
@@ -510,47 +502,27 @@ def repeated_evaluation(
     split: SplitSpec,
     train_cfg: training.TrainConfig,
     *,
-    ranks=EvalConfig.ranks,
-    target_fars=EvalConfig.target_fars,
-    normalize: bool = EvalConfig.normalize,
-    verification_pairs: int = EvalConfig.verification_pairs,
     distractors=None,
+    **options,
 ) -> EvalReport:
     """The repeated random sub-sampling protocol, end to end.
 
+    ``options`` are :class:`EvalConfig` fields, checked before any training.
     For each repetition: subject-disjoint split, train on the train side
     (seed mixed with the repetition index), evaluate on the test side's
     single-image gallery and injured probes.  Reports mean and population
     std over exactly ``split.repetitions`` repetitions.
     """
+    conf = EvalConfig(**options)
 
     def trained(rep: int, train_ds: Dataset) -> model.ModelParams:
         return training.train(train_ds, training.config_for_repetition(train_cfg, rep))[0]
 
-    return evaluate_repetitions(
-        ds,
-        split,
-        range(split.repetitions),
-        trained,
-        ranks=ranks,
-        target_fars=target_fars,
-        normalize=normalize,
-        verification_pairs=verification_pairs,
-        distractors=distractors,
-    )
+    return evaluate_repetitions(ds, split, range(split.repetitions), trained, conf, distractors=distractors)
 
 
 def evaluate_repetitions(
-    ds: Dataset,
-    split: SplitSpec,
-    repetitions,
-    params_for,
-    *,
-    ranks,
-    target_fars,
-    normalize: bool,
-    verification_pairs: int,
-    distractors=None,
+    ds: Dataset, split: SplitSpec, repetitions, params_for, conf: EvalConfig, *, distractors=None
 ) -> EvalReport:
     """Evaluate the test side of each listed split repetition and aggregate.
 
@@ -567,14 +539,9 @@ def evaluate_repetitions(
                 params_for(rep, train_ds),
                 test_ds,
                 repetition=rep,
-                ranks=ranks,
-                target_fars=target_fars,
-                normalize=normalize,
-                verification_pairs=verification_pairs,
                 distractors=distractors,
                 pair_seed=training.derive_seed(split.seed, rep, 7),
+                **asdict(conf),
             )
         )
-    return aggregate_results(
-        results, ranks, extended_gallery=distractors is not None, normalized=normalize
-    )
+    return aggregate_results(results, conf, extended_gallery=distractors is not None)

@@ -247,15 +247,8 @@ def make_batches(genuine: list, imposter: list, batch_size: int, seed: int) -> l
     batches: list[Batch] = []
     gi = mi = 0
     while gi < len(g) or mi < len(m):
-        g_take = min((batch_size + 1) // 2, len(g) - gi)
-        m_take = min(batch_size // 2, len(m) - mi)
-        spare = batch_size - g_take - m_take
-        if spare > 0:
-            extra = min(spare, len(g) - gi - g_take)
-            g_take += extra
-            spare -= extra
-        if spare > 0:
-            m_take += min(spare, len(m) - mi - m_take)
+        g_take = min(batch_size - min(batch_size // 2, len(m) - mi), len(g) - gi)
+        m_take = min(batch_size - g_take, len(m) - mi)
         batches.append(Batch(tuple(g[gi : gi + g_take]), tuple(m[mi : mi + m_take])))
         gi += g_take
         mi += m_take

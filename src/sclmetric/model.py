@@ -36,6 +36,16 @@ _ACT_CODES = {"identity": 0, "relu": 1}
 _ACT_NAMES = {code: name for name, code in _ACT_CODES.items()}
 
 
+def _immutable(a: np.ndarray) -> bool:
+    """Whether nothing can write ``a``'s memory: every array down its base chain
+    is read-only and the chain ends in ``bytes``."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return isinstance(a.obj if isinstance(a, memoryview) else a, bytes)
+
+
 @dataclass(frozen=True, eq=False)
 class Layer:
     weight: np.ndarray  # (out, in)
@@ -50,7 +60,7 @@ class Layer:
         if self.activation not in _ACT_CODES:
             raise DataError(f"unknown activation {self.activation!r}")
         for name, a in (("weight", w), ("bias", b)):
-            a = a.copy() if a.flags.writeable else a  # so the caller's array stays writable and unshared
+            a = a if _immutable(a) else a.copy()  # so the caller's array stays writable and unshared
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -94,8 +104,8 @@ class ModelParams:
         if self.layers[-1].activation != "identity":
             raise DataError("final layer activation must be identity")
         object.__setattr__(self, "_shapes", tuple((l.out_dim, l.in_dim, l.activation) for l in self.layers))
-        vector = self.join([(l.weight, l.bias) for l in self.layers])
-        vector.setflags(write=False)  # before splitting, so the views are read-only too
+        # Backed by bytes, so the layers can keep views of it.
+        vector = np.frombuffer(self.join([(l.weight, l.bias) for l in self.layers]).tobytes())
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "layers", tuple(Layer(*view) for view in _split(vector, self._shapes)))
 

@@ -111,7 +111,7 @@ class TrainConfig:
             raise ConfigError("learning_rate must be >= 0")
         if self.epochs < 1 or self.batch_size < 2 or self.per_subject < 0:
             raise ConfigError("epochs >= 1, batch_size >= 2 and per_subject >= 0 required")
-        if min(self.alpha1, self.alpha2, self.cl_margin, self.tl_margin) <= 0:
+        if not all(m > 0 for m in (self.alpha1, self.alpha2, self.cl_margin, self.tl_margin)):  # NaN too
             raise ConfigError("all margins must be > 0")
         if self.freeze < 0:
             raise ConfigError("freeze must be >= 0")

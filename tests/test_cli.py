@@ -302,6 +302,17 @@ class TestEval:
         assert capsys.readouterr().err == f"data error: distractor file {distractors} has dimension 4, dataset has 6\n"
 
 
+    @pytest.mark.parametrize("role", ["dataset", "extended-gallery"])
+    def test_non_utf8_csv_exit_3(self, tmp_path, trained, capsys, role):
+        cfg, data, ckpt = trained
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(open(data, "rb").read() + b"1000,N,0," + b",".join([b"1.0"] * 5) + b",\xff\xfe\n")
+        dataset, extra = (str(bad), []) if role == "dataset" else (data, ["--extended-gallery", str(bad)])
+        capsys.readouterr()
+        assert main(["eval", ckpt, dataset, "--config", cfg, "--out", str(tmp_path / "x"), *extra]) == 3
+        assert capsys.readouterr().err == f"data error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
 class TestCompare:
     def test_table_shape_and_determinism(self, tmp_path, dataset_csv):
         cfg, data = dataset_csv
@@ -514,3 +525,66 @@ class TestConfig:
         assert main(["eval", str(ckpt), str(out / "dataset.csv"), "--seed", "3", "--out", str(tmp_path / "e")]) == 0
         report = json.loads((tmp_path / "e" / "report.json").read_text(encoding="utf-8"))
         assert report["config"] == DEFAULT_CONFIG_SEED_3
+
+    @pytest.mark.parametrize(
+        "command, config, flags, key",
+        [
+            ("train", '{"train": {"alpha1": NaN}}', [], "train.alpha1"),
+            ("train", '{"train": {"loss": "cl", "cl_margin": NaN}}', [], "train.cl_margin"),
+            ("train", '{"train": {"learning_rate": Infinity}}', [], "train.learning_rate"),
+            ("train", '{"train": {"tl_margin": 1e400}}', [], "train.tl_margin"),
+            ("synth", '{"synth": {"sigma_n": NaN}}', [], "synth.sigma_n"),
+            ("synth", '{"synth": {"injury_shift": -Infinity}}', [], "synth.injury_shift"),
+            ("train", '{"split": {"train_fraction": NaN}}', [], "split.train_fraction"),
+            ("train", '{"split": {"train_fraction": Infinity}}', [], "split.train_fraction"),
+            ("train", '{"eval": {"target_fars": [0.1, NaN]}}', [], "eval.target_fars"),
+            ("train", None, ["--lr", "nan"], "train.learning_rate"),
+            ("train", None, ["--alpha1", "inf"], "train.alpha1"),
+            ("train", None, ["--loss", "tl", "--margin", "inf"], "train.tl_margin"),
+        ],
+        ids=["train-nan", "cl-margin-nan", "train-infinity", "train-overflow", "synth-nan", "synth-minus-infinity",
+             "split-nan", "split-infinity", "list-entry-nan", "lr-flag-nan", "alpha1-flag-inf", "margin-flag-inf"],
+    )
+    def test_non_finite_value_exit_2(self, tmp_path, dataset_csv, capsys, command, config, flags, key):
+        _, data = dataset_csv
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config, encoding="utf-8")
+            flags = ["--config", str(path), *flags]
+        inputs = [data] if command == "train" else []
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([command, *inputs, *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: config key {key!r} must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, section, values, message",
+        [
+            ("train", "split", {"seed": -1}, "split seed must be non-negative"),
+            ("train", "split", {"train_fraction": 1.5}, "train_fraction must be in (0, 1), got 1.5"),
+            ("train", "split", {"repetitions": 0}, "repetitions must be >= 1"),
+            ("synth", "synth", {"dim": 0}, "dim must be >= 1"),
+            ("synth", "synth", {"n_injury_modes": 0}, "n_injury_modes must be >= 1"),
+            ("synth", "synth", {"seed": -1}, "seed must be non-negative"),
+        ],
+    )
+    def test_split_and_synth_out_of_range_exit_2(self, tmp_path, capsys, command, section, values, message):
+        cfg = write_config(tmp_path, **{section: values})
+        inputs = [str(tmp_path / "missing.csv")] if command == "train" else []
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main([command, *inputs, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"seed": 1\xff}')
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["train", str(tmp_path / "missing.csv"), "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: config {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff"
+        )
+        assert not out.exists()

@@ -208,6 +208,16 @@ class TestCsvRoundTrip:
             assert [s.embedding.tobytes() for s in ra.samples] == [s.embedding.tobytes() for s in rb.samples]
 
 
+    @pytest.mark.parametrize("rows_before", [0, 5000], ids=["first-chunk", "past-the-first-read"])
+    def test_non_utf8_bytes_are_a_parse_error(self, tmp_path, rows_before):
+        path = tmp_path / "bad.csv"
+        rows = b"".join(b"%d,N,0,1.0\n" % k for k in range(rows_before))
+        path.write_bytes(b"subject_id,subclass,sample_index,f0\n" + rows + b"9999,N,0,1.\xff\xfe\n")
+        with pytest.raises(ParseError) as exc:
+            load_embeddings(path)
+        assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 class TestSubjectSplit:
     def test_70_30_sizes(self):
         ds = generate_synthetic(small_config(n_subjects=10))
@@ -290,6 +300,19 @@ class TestGalleryProbePartition:
         assert 2 not in {s.subject_id for s in part.gallery}
         assert 2 not in {s.subject_id for s in part.probe}
         assert part.excluded_subjects == ((2, "no injured samples"),)
+
+
+    def test_subject_without_non_injured_is_dropped_and_reported(self):
+        records = list(self._dataset().subjects)
+        records.append(SubjectRecord(3, (), (_sample(3, Subclass.INJURED, 0, [0.0, 5.0]),)))
+        ds = Dataset(2, tuple(records))
+        with pytest.warns(UserWarning) as caught:
+            part = gallery_probe_partition(ds, single_image_gallery=True)
+        assert [str(w.message) for w in caught] == [
+            "gallery/probe partition dropped subjects: [(3, 'no non-injured samples')]"
+        ]
+        assert part.excluded_subjects == ((3, "no non-injured samples"),)
+        assert 3 not in {s.subject_id for s in part.gallery} | {s.subject_id for s in part.probe}
 
 
 class TestDatasetInvariants:

@@ -6,13 +6,14 @@ left-to-right accumulation contract, which an explicit Python loop
 reproduces bit-for-bit, so every comparison below is exact (no tolerance).
 """
 
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sclmetric import evaluation, model, presets
+from sclmetric import evaluation, model, presets, training
 from sclmetric.dataset import (
     Dataset,
     Sample,
@@ -23,7 +24,7 @@ from sclmetric.dataset import (
     generate_synthetic,
     gallery_probe_partition,
 )
-from sclmetric.errors import DataError, ProtocolError
+from sclmetric.errors import ConfigError, DataError, ProtocolError
 from sclmetric.evaluation import (
     CmcCurve,
     VerificationReport,
@@ -484,6 +485,30 @@ class TestEvaluateModel:
         distractors = [(1000 + k, np.random.default_rng(k).normal(size=16)) for k in range(10)]
         res = evaluate_model(m, ds, distractors=distractors, verification_pairs=5)
         assert res.gallery_size == ds.n_subjects + 10
+
+
+
+class TestEvalOptions:
+    """The evaluation options are EvalConfig's fields, checked by EvalConfig."""
+
+    def test_bad_option_fails_before_any_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the options were checked")
+
+        monkeypatch.setattr(training, "train", no_training)
+        ds = generate_synthetic(presets.easy_synth_config())
+        with pytest.raises(ConfigError, match="verification_pairs must be >= 1, got 0"):
+            repeated_evaluation(ds, SplitSpec(seed=0, repetitions=2), tiny_train_cfg(), verification_pairs=0)
+
+    def test_rank_zero_is_rejected(self):
+        ds = generate_synthetic(presets.easy_synth_config())
+        with pytest.raises(ConfigError, match=r"ranks must be nonempty and each >= 1, got \(0, 1\)"):
+            evaluate_model(model.init_model([16, 8], seed=0), ds, ranks=(0, 1), verification_pairs=5)
+
+    def test_fields_are_declared_only_in_eval_config(self):
+        names = {"ranks", "target_fars", "normalize", "verification_pairs", "normalized"}
+        for fn in (evaluate_model, repeated_evaluation, evaluation.evaluate_repetitions, evaluation.aggregate_results):
+            assert names.isdisjoint(inspect.signature(fn).parameters), fn.__name__
 
 
 # --- whole-path differential test ------------------------------------------------

@@ -228,6 +228,19 @@ class TestMakeBatches:
         assert {id(u) for u in flattened} == {id(u) for u in g + m}
 
 
+    @pytest.mark.parametrize(
+        "batch_size, n_genuine, n_imposter, counts",
+        [
+            (5, 7, 3, [(3, 2), (4, 1)]),
+            (5, 2, 9, [(2, 3), (0, 5), (0, 1)]),
+            (3, 4, 4, [(2, 1), (2, 1), (0, 2)]),
+        ],
+    )
+    def test_odd_batch_size_composition(self, batch_size, n_genuine, n_imposter, counts):
+        batches = make_batches(self._units(n_genuine, 0), self._units(n_imposter, 1), batch_size, seed=0)
+        assert [(len(b.genuine_sets), len(b.imposter_sets)) for b in batches] == counts
+
+
 class TestUnitInvariants:
     def test_genuine_set_rejects_mixed_subjects(self):
         ds = tiny_dataset(2, 1, 2)

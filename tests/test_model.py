@@ -399,6 +399,30 @@ class TestParameterVector:
         for other in (one_layer, identity_first):
             assert other.vector.tobytes() == m.vector.tobytes() and other != m
 
+    def test_read_only_view_of_writable_memory_is_copied(self):
+        base = np.eye(2).ravel().copy()
+        view = base.view()
+        view.setflags(write=False)
+        layer = model.Layer(view.reshape(2, 2), np.zeros(2), "identity")
+        base[0] = 7.0
+        assert layer.weight.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert not np.shares_memory(layer.weight, base)
+
+    def test_read_only_view_of_a_bytearray_is_copied(self):
+        buffer = bytearray(np.eye(2).tobytes())
+        weight = np.frombuffer(buffer).reshape(2, 2)
+        weight.setflags(write=False)
+        layer = model.Layer(weight, np.zeros(2), "identity")
+        buffer[:8] = np.float64(7.0).tobytes()
+        assert layer.weight.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_views_of_bytes_are_kept_and_the_vector_stays_read_only(self):
+        weight = np.frombuffer(np.arange(4.0).tobytes()).reshape(2, 2)
+        assert model.Layer(weight, np.zeros(2), "identity").weight is weight
+        m = init_model([3, 2], seed=0)
+        with pytest.raises(ValueError):
+            m.vector.setflags(write=True)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -60,6 +60,16 @@ class TestSvg:
         assert "<polyline" in body
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_histogram_svg_of_equal_scores(self, tmp_path):
+        # The range widens to one unit, so every score falls in the first bin.
+        path = tmp_path / "hist.svg"
+        reporting.write_score_histogram_svg(VerificationReport((0.5, 0.5), (0.5,)), path)
+        bars = [line for line in path.read_text(encoding="utf-8").splitlines() if line.startswith("<rect x=")]
+        assert bars == [
+            '<rect x="60" y="40" width="14" height="390" fill="#1f77b4" fill-opacity="0.6"/>',
+            '<rect x="74" y="40" width="14" height="390" fill="#d62728" fill-opacity="0.6"/>',
+        ]
+
     def test_histogram_svg(self, tmp_path):
         report = gar_at_far(
             VerificationReport((0.1, 0.2, 0.3), (0.8, 0.9, 1.4)), [0.1]

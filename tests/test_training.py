@@ -244,6 +244,11 @@ class TestTrainConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(alpha1=0.0)
 
+    @pytest.mark.parametrize("key", ["alpha1", "alpha2", "cl_margin", "tl_margin"])
+    def test_nan_margin(self, key):
+        with pytest.raises(ConfigError, match=r"^all margins must be > 0$"):
+            TrainConfig(**{key: float("nan")})
+
     def test_bad_batch(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1)
