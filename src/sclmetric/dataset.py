@@ -251,6 +251,8 @@ class SynthConfig:
         if self.n_injury_modes < 1:
             raise ConfigError("n_injury_modes must be >= 1")
         for name in ("subject_radius", "sigma_n", "sigma_i", "injury_shift"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.seed < 0:

@@ -412,10 +412,12 @@ def sample_verification_pairs(ds: Dataset, n_per_label: int, seed: int):
     if eligible == 0:
         raise ProtocolError("no subject has both subclasses; cannot build pairs")
     per_subject = -(-n_per_label // eligible)  # ceil
-    pairs = mining.build_cl_pairs(ds, per_subject, seed)
-    genuine = [p for p in pairs if p.label == 0][:n_per_label]
-    imposter = [p for p in pairs if p.label == 1][:n_per_label]
-    return genuine + imposter
+    samples = ds.all_samples()
+    return [
+        mining.ContrastivePair(samples[a], samples[b], label)
+        for label, rows in enumerate(mining.cl_rows(ds, per_subject, seed))
+        for a, b in rows[:n_per_label].tolist()
+    ]
 
 
 def evaluate_model(

@@ -16,17 +16,53 @@ warning; a subject with a single injured sample yields degenerate sets
 (c absent, second pair omitted) rather than a zero-distance q == r pair.
 Mining is pure: every emitted Sample is an object from the source dataset,
 and a fixed seed reproduces the exact output.
+
+Units as row indices
+--------------------
+The miners :func:`genuine_rows`, :func:`imposter_rows`, :func:`cl_rows` and
+:func:`triplet_rows` return units as int64 arrays of row indices into
+``Dataset.all_samples()`` (subjects by id, intact before injured samples,
+each by sample index), one column per slot: (a, b, c), (first, second) or
+(anchor, positive, negative).  A degenerate set repeats b in column c, and
+no full set has c == b, so ``rows[:, 2] != rows[:, 1]`` is the has-c mask.
+:func:`batch_order` packs two such pools into batches.  The ``build_*``
+functions and :func:`make_batches` return the same units as the dataclasses
+above, holding the dataset's own Sample objects.
+
+Draws
+-----
+Each miner draws from ``numpy.random.default_rng(seed)`` as a loop over its
+subjects in dataset order and ``per_subject`` units each would, with one
+``Generator.integers(n)`` call per sample or donor picked; a genuine set
+picks its (b, c) pair with ``Generator.choice(n, 2, replace=False)``.
+Instead of making those calls the miners replay the stream they read.
+PCG64's 32-bit outputs are the halves of ``bit_generator.random_raw``, low
+half first.  ``integers(n)`` turns one half into a value by Lemire's
+multiply-shift method (arXiv:1805.10941), or takes none when n == 1, and
+``choice(n, 2, replace=False)`` is Floyd's algorithm, ``below(n-1)`` then
+``below(n)`` with a repeat taking n - 1, followed by the ``below(2)`` of
+numpy's shuffle, which swaps the pair on 0.  Every draw's bound is fixed by
+the data except a donor's injured sample, which takes a half only when the
+donor has two or more; so when all donors agree on that, the halves each
+draw takes are known in advance and all draws are computed at once, as
+whole lanes.  Where donors disagree, or where a lane's Lemire leftover falls
+below its bound (numpy may then reject the half and draw again), the miner
+makes the scalar ``Generator.integers`` calls instead: ``choice``'s three
+draws are the same ``integers`` draws.  The output is the same either way,
+and only as long as numpy keeps these algorithms: the per-call builders
+this replaced are kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
 
-from .dataset import Dataset, Sample, Subclass, SubjectRecord
+from .dataset import Dataset, Sample, Subclass
 from .errors import ConfigError, MiningError
 
 
@@ -123,35 +159,167 @@ class Batch:
         return self.genuine_sets + self.imposter_sets
 
 
-def _donors(ds: Dataset, use: str, required: bool = True) -> list[SubjectRecord]:
-    """Subjects with injured samples, the pool foreign injured samples come
-    from; raises :class:`MiningError` when ``required`` and fewer than two
-    exist, since no cross-subject unit can then be formed."""
-    donors = [r for r in ds.subjects if r.injured]
-    if required and len(donors) < 2:
-        raise MiningError(f"{use} needs >= 2 subjects with injured samples, found {len(donors)}")
-    return donors
-
-
-def _anchors(ds: Dataset, kind: str, donors=None, need_injured: bool = True):
-    """The subjects a builder mines from, in dataset order, each paired with
-    its candidate donors (``donors`` minus itself, or None without donors).
+def _anchors(ds: Dataset, kind: str, need_injured: bool = True) -> np.ndarray:
+    """Positions in ``ds.subjects`` of the subjects a miner mines from.
 
     Subjects lacking an intact sample, or with ``need_injured`` an injured
-    one, are skipped with one warning naming ``kind``.
+    one, are skipped with one warning naming ``kind``, attributed to the
+    first caller outside this module.
     """
     out = []
     skipped: list[tuple[int, str]] = []
     reason = "missing a subclass" if need_injured else "no non-injured samples"
-    for record in ds.subjects:
+    for pos, record in enumerate(ds.subjects):
         if not record.non_injured or need_injured and not record.injured:
             skipped.append((record.subject_id, reason))
-            continue
-        candidates = None if donors is None else [d for d in donors if d.subject_id != record.subject_id]
-        out.append((record, candidates))
+        else:
+            out.append(pos)
     if skipped:
-        warnings.warn(f"{kind} mining skipped subjects: {skipped}", stacklevel=3)
-    return out
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__name__") == __name__:
+            frame, level = frame.f_back, level + 1
+        warnings.warn(f"{kind} mining skipped subjects: {skipped}", stacklevel=level)
+    return np.array(out, dtype=np.int64)
+
+
+class _Subjects:
+    """Per subject, in dataset order: intact and injured counts, the first
+    row of each in ``ds.all_samples()``, and its position among the donors
+    (the subjects with injured samples), or the donor count if it is none."""
+
+    def __init__(self, ds: Dataset):
+        self.non = np.array([len(r.non_injured) for r in ds.subjects], dtype=np.int64)
+        self.inj = np.array([len(r.injured) for r in ds.subjects], dtype=np.int64)
+        self.first = (self.non + self.inj).cumsum() - self.non - self.inj
+        donor = self.inj > 0
+        self.donor_rows = (self.first + self.non)[donor]
+        self.donor_counts = self.inj[donor]
+        self.own = np.where(donor, donor.cumsum() - 1, len(self.donor_counts))
+
+    def units(self, anchors: np.ndarray, per_subject: int):
+        """Per unit: intact count, injured count, first intact row, first
+        injured row and donor position of its subject."""
+        at = anchors.repeat(per_subject)
+        return self.non[at], self.inj[at], self.first[at], self.first[at] + self.non[at], self.own[at]
+
+
+def _donors(subjects: _Subjects, use: str, required: bool = True) -> None:
+    """Raise :class:`MiningError` when ``required`` and fewer than two subjects
+    have injured samples, since no cross-subject unit can then be formed."""
+    found = len(subjects.donor_counts)
+    if required and found < 2:
+        raise MiningError(f"{use} needs >= 2 subjects with injured samples, found {found}")
+
+
+_LOW = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+
+
+def _lemire(halves: np.ndarray, bounds: np.ndarray):
+    """``Generator.integers(bound)`` drawn from one 32-bit half per lane by
+    Lemire's method, for bounds up to 2**32: the values, and whether each
+    lane's leftover fell below its bound, where numpy may have rejected the
+    half and drawn another."""
+    bounds = bounds.astype(np.uint64)
+    m = halves * bounds
+    return (m >> _HALF).astype(np.int64), (m & _LOW) < bounds
+
+
+def _halves(seed: int, consumes: np.ndarray) -> np.ndarray:
+    """The 32-bit half of ``default_rng(seed)``'s stream each lane takes,
+    lanes in row-major order, where ``consumes``; 0 elsewhere."""
+    n = int(np.count_nonzero(consumes))
+    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 2))
+    halves = np.zeros(consumes.shape, np.uint64)
+    halves[consumes] = raw.astype("<u8", copy=False).view("<u4")[:n]  # little-endian: the low half first
+    return halves
+
+
+def _draw(seed: int, bounds: np.ndarray, donor=None) -> np.ndarray:
+    """Entry ``[u, j]``: what the j-th ``Generator.integers(bounds[u, j])``
+    call of unit u returns, with every unit's calls made in column order,
+    unit after unit, on ``default_rng(seed)``.
+
+    ``donor = (pick, sample, own, counts)`` makes column ``pick`` choose a
+    donor other than the unit's own position ``own[u]`` among the donors,
+    holding the chosen donor's position, and column ``sample`` an injured
+    sample of it: its bound is that donor's entry of ``counts``, and
+    ``bounds[:, sample]`` is ignored.
+    """
+    consumes = bounds > 1
+    pick = sample = -1
+    if donor is not None:
+        pick, sample, own, counts = donor
+        many = counts > 1
+        consumes[:, sample] = many.any()
+    if donor is None or many.all() or not many.any():
+        halves = _halves(seed, consumes)
+        values, rejected = _lemire(halves, bounds)
+        if donor is not None:
+            values[:, pick] += values[:, pick] >= own
+            values[:, sample], rejected[:, sample] = _lemire(halves[:, sample], counts[values[:, pick]])
+        if not (rejected & consumes).any():
+            return values
+    rng = np.random.default_rng(seed)
+    rows = bounds.tolist()
+    for u, row in enumerate(rows):
+        for j, bound in enumerate(row):
+            v = int(rng.integers(counts[row[pick]] if j == sample else bound))
+            row[j] = v + (v >= own[u]) if j == pick else v
+    return np.array(rows, dtype=np.int64).reshape(bounds.shape)
+
+
+def genuine_rows(ds: Dataset, per_subject: int, seed: int) -> np.ndarray:
+    """The (a, b, c) rows of :func:`build_genuine_sets`' units."""
+    non, inj, first, first_inj, _ = _Subjects(ds).units(_anchors(ds, "genuine-set"), per_subject)
+    pair = inj > 1
+    bounds = np.stack([non, np.where(pair, inj - 1, 1), np.where(pair, inj, 1), np.where(pair, 2, 1)], axis=1)
+    a, q, r, keep = _draw(seed, bounds).T
+    # Floyd: a repeated second draw takes the top index; the shuffle swaps the pair on 0.
+    r = np.where(r == q, inj - 1, r)
+    q, r = np.where(keep == 0, r, q), np.where(keep == 0, q, r)
+    return np.stack([first + a, first_inj + q, first_inj + r], axis=1)
+
+
+def imposter_rows(ds: Dataset, per_subject: int, seed: int) -> np.ndarray:
+    """The (a, b, c) rows of :func:`build_imposter_sets`' units."""
+    subjects = _Subjects(ds)
+    _donors(subjects, "imposter mining")
+    anchors = _anchors(ds, "imposter-set", need_injured=False)
+    non, inj, first, first_inj, own = subjects.units(anchors, per_subject)
+    n_donors = len(subjects.donor_counts)
+    bounds = np.stack([non, n_donors - (own < n_donors), np.ones_like(non), np.maximum(inj, 1)], axis=1)
+    a, d, b, c = _draw(seed, bounds, (1, 2, own, subjects.donor_counts)).T
+    b = subjects.donor_rows[d] + b
+    return np.stack([first + a, b, np.where(inj > 0, first_inj + c, b)], axis=1)
+
+
+def cl_rows(ds: Dataset, per_subject: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (first, second) rows of :func:`build_cl_pairs`' genuine units and
+    of its imposter units, each in mining order."""
+    subjects = _Subjects(ds)
+    _donors(subjects, "imposter pairing", required=per_subject > 0)
+    non, inj, first, first_inj, own = subjects.units(_anchors(ds, "contrastive-pair"), per_subject)
+    n_donors = len(subjects.donor_counts)
+    bounds = np.stack([non, inj, np.full_like(non, n_donors - 1), non, np.ones_like(non)], axis=1)
+    a, p, d, a2, n = _draw(seed, bounds, (2, 4, own, subjects.donor_counts)).T
+    genuine = np.stack([first + a, first_inj + p], axis=1)
+    return genuine, np.stack([first + a2, subjects.donor_rows[d] + n], axis=1)
+
+
+def triplet_rows(ds: Dataset, per_subject: int, seed: int) -> np.ndarray:
+    """The (anchor, positive, negative) rows of :func:`build_triplets`' units."""
+    subjects = _Subjects(ds)
+    _donors(subjects, "triplet mining", required=per_subject > 0)
+    non, inj, first, first_inj, own = subjects.units(_anchors(ds, "triplet"), per_subject)
+    bounds = np.stack([non, inj, np.full_like(non, len(subjects.donor_counts) - 1), np.ones_like(non)], axis=1)
+    a, p, d, n = _draw(seed, bounds, (2, 3, own, subjects.donor_counts)).T
+    return np.stack([first + a, first_inj + p, subjects.donor_rows[d] + n], axis=1)
+
+
+def _sets(unit, ds: Dataset, rows: np.ndarray) -> list:
+    samples = ds.all_samples()
+    return [unit(samples[a], samples[b], samples[c] if c != b else None) for a, b, c in rows.tolist()]
 
 
 def build_genuine_sets(ds: Dataset, per_subject: int, seed: int) -> list[GenuineSet]:
@@ -160,18 +328,7 @@ def build_genuine_sets(ds: Dataset, per_subject: int, seed: int) -> list[Genuine
     Eligible subjects have >= 1 intact and >= 1 injured sample; with exactly
     one injured sample the sets are degenerate (c absent).
     """
-    rng = np.random.default_rng(seed)
-    out: list[GenuineSet] = []
-    for record, _ in _anchors(ds, "genuine-set"):
-        non, inj = record.non_injured, record.injured
-        for _ in range(per_subject):
-            a = non[rng.integers(len(non))]
-            if len(inj) == 1:
-                out.append(GenuineSet(a, inj[0], None))
-            else:
-                q, r = rng.choice(len(inj), size=2, replace=False)
-                out.append(GenuineSet(a, inj[q], inj[r]))
-    return out
+    return _sets(GenuineSet, ds, genuine_rows(ds, per_subject, seed))
 
 
 def build_imposter_sets(ds: Dataset, per_subject: int, seed: int) -> list[ImposterSet]:
@@ -182,74 +339,61 @@ def build_imposter_sets(ds: Dataset, per_subject: int, seed: int) -> list[Impost
     Raises :class:`MiningError` when fewer than two subjects have injured
     samples, since no cross-subject pair can then exist.
     """
-    rng = np.random.default_rng(seed)
-    donors = _donors(ds, "imposter mining")
-    out: list[ImposterSet] = []
-    for record, candidates in _anchors(ds, "imposter-set", donors, need_injured=False):
-        non = record.non_injured
-        for _ in range(per_subject):
-            a = non[rng.integers(len(non))]
-            donor = candidates[rng.integers(len(candidates))]
-            b = donor.injured[rng.integers(len(donor.injured))]
-            c = record.injured[rng.integers(len(record.injured))] if record.injured else None
-            out.append(ImposterSet(a, b, c))
-    return out
+    return _sets(ImposterSet, ds, imposter_rows(ds, per_subject, seed))
 
 
 def build_cl_pairs(ds: Dataset, per_subject: int, seed: int) -> list[ContrastivePair]:
     """Mine balanced contrastive pairs: per subject, ``per_subject`` genuine
     (N_i, I_i) pairs and ``per_subject`` imposter (N_i, I_j) pairs."""
-    rng = np.random.default_rng(seed)
-    donors = _donors(ds, "imposter pairing", required=per_subject > 0)
+    samples = ds.all_samples()
+    genuine, imposter = cl_rows(ds, per_subject, seed)
     out: list[ContrastivePair] = []
-    for record, candidates in _anchors(ds, "contrastive-pair", donors):
-        non, inj = record.non_injured, record.injured
-        for _ in range(per_subject):
-            out.append(ContrastivePair(non[rng.integers(len(non))], inj[rng.integers(len(inj))], 0))
-            donor = candidates[rng.integers(len(candidates))]
-            out.append(
-                ContrastivePair(
-                    non[rng.integers(len(non))], donor.injured[rng.integers(len(donor.injured))], 1
-                )
-            )
+    for (a, b), (a2, b2) in zip(genuine.tolist(), imposter.tolist()):
+        out += [ContrastivePair(samples[a], samples[b], 0), ContrastivePair(samples[a2], samples[b2], 1)]
     return out
 
 
 def build_triplets(ds: Dataset, per_subject: int, seed: int) -> list[Triplet]:
     """Mine ``per_subject`` triplets per eligible subject, negatives uniform
     over other subjects' injured samples."""
-    rng = np.random.default_rng(seed)
-    donors = _donors(ds, "triplet mining", required=per_subject > 0)
-    out: list[Triplet] = []
-    for record, candidates in _anchors(ds, "triplet", donors):
-        non, inj = record.non_injured, record.injured
-        for _ in range(per_subject):
-            anchor = non[rng.integers(len(non))]
-            positive = inj[rng.integers(len(inj))]
-            donor = candidates[rng.integers(len(candidates))]
-            negative = donor.injured[rng.integers(len(donor.injured))]
-            out.append(Triplet(anchor, positive, negative))
-    return out
+    samples = ds.all_samples()
+    return [Triplet(*(samples[i] for i in row)) for row in triplet_rows(ds, per_subject, seed).tolist()]
 
 
-def make_batches(genuine: list, imposter: list, batch_size: int, seed: int) -> list[Batch]:
-    """Shuffle both unit lists and pack them into ~1:1 batches.
+def batch_order(n_genuine: int, n_imposter: int, batch_size: int, seed: int):
+    """Shuffle both unit pools and pack them into ~1:1 batches.
 
-    Each full batch takes ``ceil(batch_size/2)`` genuine and the rest
-    imposter units; once one side is exhausted the other fills the gap, and
-    a final short batch is allowed.
+    Returns ``(order, sizes)``: ``order`` indexes the genuine pool followed
+    by the imposter pool and lists every batch's units back to back, its
+    genuine units first, and ``sizes`` holds each batch's (genuine,
+    imposter) counts.  Each full batch takes ``ceil(batch_size/2)`` genuine
+    and the rest imposter units; once one side is exhausted the other fills
+    the gap, and a final short batch is allowed.
     """
     if batch_size < 2:
         raise ConfigError("batch_size must be >= 2")
     rng = np.random.default_rng(seed)
-    g = [genuine[i] for i in rng.permutation(len(genuine))]
-    m = [imposter[i] for i in rng.permutation(len(imposter))]
-    batches: list[Batch] = []
+    g, m = rng.permutation(n_genuine), n_genuine + rng.permutation(n_imposter)
+    parts, sizes = [g[:0]], []  # g[:0]: an int array to concatenate when there are no batches
     gi = mi = 0
-    while gi < len(g) or mi < len(m):
-        g_take = min(batch_size - min(batch_size // 2, len(m) - mi), len(g) - gi)
-        m_take = min(batch_size - g_take, len(m) - mi)
-        batches.append(Batch(tuple(g[gi : gi + g_take]), tuple(m[mi : mi + m_take])))
+    while gi < n_genuine or mi < n_imposter:
+        g_take = min(batch_size - min(batch_size // 2, n_imposter - mi), n_genuine - gi)
+        m_take = min(batch_size - g_take, n_imposter - mi)
+        parts += [g[gi : gi + g_take], m[mi : mi + m_take]]
+        sizes.append((g_take, m_take))
         gi += g_take
         mi += m_take
+    return np.concatenate(parts), sizes
+
+
+def make_batches(genuine: list, imposter: list, batch_size: int, seed: int) -> list[Batch]:
+    """The batches of :func:`batch_order`, holding the units themselves."""
+    units = [*genuine, *imposter]
+    order, sizes = batch_order(len(genuine), len(imposter), batch_size, seed)
+    batches: list[Batch] = []
+    end = 0
+    for g_take, m_take in sizes:
+        chosen = [units[i] for i in order[end : end + g_take + m_take].tolist()]
+        batches.append(Batch(tuple(chosen[:g_take]), tuple(chosen[g_take:])))
+        end += g_take + m_take
     return batches

@@ -60,8 +60,9 @@ class Layer:
         if self.activation not in _ACT_CODES:
             raise DataError(f"unknown activation {self.activation!r}")
         for name, a in (("weight", w), ("bias", b)):
-            a = a if _immutable(a) else a.copy()  # so the caller's array stays writable and unshared
-            a.setflags(write=False)
+            # A copy backed by bytes, so the caller's array stays writable and unshared and nothing
+            # can make the copy writable again.
+            a = a if _immutable(a) else np.frombuffer(a.tobytes()).reshape(a.shape)
             object.__setattr__(self, name, a)
 
     @property

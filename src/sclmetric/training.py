@@ -1,14 +1,16 @@
 """Optimizers and the epoch loop wiring mining -> forward -> loss -> update.
 
-Every epoch re-mines its training units with an epoch-derived seed, packs
-them into ~1:1 batches, and takes one Adam step per batch.  A batch's slot
-rows, in (unit, slot) order, go through one forward pass, the row kernel
-of the run's loss kind and one backward pass.  The backward pass drops the
-inactive slots, whose rows would add only exact zeros, and sums the rest in
-order with one exact-product reduce per layer, so the parameters are bit
-for bit those of a per-unit loop that skips them.  Training is fully
-deterministic: (dataset, config, seed) fix the returned parameters
-bit-exactly, and a frozen layer prefix never changes.
+Every epoch re-mines its training units with an epoch-derived seed, as
+row indices into one matrix of the dataset's samples stacked once per
+:func:`train` call, packs them into ~1:1 batches, and takes one Adam step
+per batch.  A batch's slot rows, gathered from that matrix in (unit, slot)
+order, go through one forward pass, the row kernel of the run's loss kind
+and one backward pass.  The backward pass drops the inactive slots, whose
+rows would add only exact zeros, and sums the rest in order with one
+exact-product reduce per layer, so the parameters are bit for bit those of
+a per-unit loop that skips them.  Training is fully deterministic:
+(dataset, config, seed) fix the returned parameters bit-exactly, and a
+frozen layer prefix never changes.
 
 The :class:`TrainConfig` defaults are the reference regime, learning rate
 3e-6 over 30 epochs, for fine-tuning a large pretrained backbone; that
@@ -107,12 +109,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
+        if not math.isfinite(self.learning_rate):
+            raise ConfigError("learning_rate must be finite")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be >= 0")
         if self.epochs < 1 or self.batch_size < 2 or self.per_subject < 0:
             raise ConfigError("epochs >= 1, batch_size >= 2 and per_subject >= 0 required")
         if not all(m > 0 for m in (self.alpha1, self.alpha2, self.cl_margin, self.tl_margin)):  # NaN too
             raise ConfigError("all margins must be > 0")
+        if math.inf in (self.alpha1, self.alpha2, self.cl_margin, self.tl_margin):
+            raise ConfigError("all margins must be finite")
         if self.freeze < 0:
             raise ConfigError("freeze must be >= 0")
         if self.seed < 0:
@@ -148,26 +154,21 @@ class TrainLog:
 
 
 def _mine_epoch(ds: Dataset, cfg: TrainConfig, epoch: int):
-    """Re-mine this epoch's units and split them into label-0/label-1 pools."""
+    """Re-mine this epoch's units as row-index arrays, split into label-0/label-1 pools."""
     s_gen = derive_seed(cfg.seed, epoch, 1)
     s_imp = derive_seed(cfg.seed, epoch, 2)
     if cfg.loss == "scl":
-        genuine = mining.build_genuine_sets(ds, cfg.per_subject, s_gen)
-        return genuine, mining.build_imposter_sets(ds, cfg.per_subject, s_imp)
+        return mining.genuine_rows(ds, cfg.per_subject, s_gen), mining.imposter_rows(ds, cfg.per_subject, s_imp)
     if cfg.loss == "cl":
-        pairs = mining.build_cl_pairs(ds, cfg.per_subject, s_gen)
-        return [p for p in pairs if p.label == 0], [p for p in pairs if p.label == 1]
-    return mining.build_triplets(ds, cfg.per_subject, s_gen), []
-
-
-# The unit fields each loss kind feeds through the network, in slot order.
-_SLOTS = {"scl": ("a", "b", "c"), "cl": ("first", "second"), "tl": ("anchor", "positive", "negative")}
+        return mining.cl_rows(ds, cfg.per_subject, s_gen)
+    triplets = mining.triplet_rows(ds, cfg.per_subject, s_gen)
+    return triplets, triplets[:0]
 
 
 def _loss_rows(cfg: TrainConfig, units, labels, slots):
     """Per-unit values and per-slot gradient rows of ``slots``, one (unit, dim) matrix each."""
     if cfg.loss == "scl":
-        has_c = np.array([unit.c is not None for unit in units])
+        has_c = units[:, 2] != units[:, 1]  # a set without c repeats b there
         return losses.scl_loss_rows(*slots, labels, has_c, losses.SclConfig(cfg.alpha1, cfg.alpha2))
     if cfg.loss == "cl":
         return losses.contrastive_loss_rows(*slots, labels, cfg.cl_margin)
@@ -185,23 +186,26 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
     params = model.init_model([ds_train.dimension, *cfg.hidden_dims], cfg.seed)
     freeze = model.FreezeMask(cfg.freeze)
     adam = AdamState.for_model(params)
-    names = _SLOTS[cfg.loss]
+    samples = np.array([s.embedding for s in ds_train.all_samples()], dtype=np.float64)
+    samples = samples.reshape(-1, ds_train.dimension)
     entries: list[EpochStats] = []
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         label0, label1 = _mine_epoch(ds_train, cfg, epoch)
-        batches = mining.make_batches(label0, label1, cfg.batch_size, derive_seed(cfg.seed, epoch, 3))
+        seed = derive_seed(cfg.seed, epoch, 3)
+        order, sizes = mining.batch_order(len(label0), len(label1), cfg.batch_size, seed)
+        units = np.concatenate([label0, label1])[order]
         sums = {0: 0.0, 1: 0.0}
         counts = {0: 0, 1: 0}
-        for bi, batch in enumerate(batches):
-            # make_batches keeps the label-0 units ahead of the label-1 units.
-            labels = np.repeat([0, 1], [len(batch.genuine_sets), len(batch.imposter_sets)])
+        end = 0
+        for bi, (n0, n1) in enumerate(sizes):
+            batch, end = units[end : end + n0 + n1], end + n0 + n1
+            labels = np.repeat([0, 1], [n0, n1])
             # A degenerate set's missing c repeats b; the kernel gives it a zero gradient.
-            rows = np.array([(getattr(u, name) or u.b).embedding for u in batch.units for name in names])
-            embedded, trace = model.forward(params, rows)
-            slots = embedded.reshape(len(batch.units), len(names), -1).transpose(1, 0, 2)
-            values, slot_grads = _loss_rows(cfg, batch.units, labels, slots)
+            embedded, trace = model.forward(params, samples[batch.ravel()])
+            slots = embedded.reshape(*batch.shape, -1).transpose(1, 0, 2)
+            values, slot_grads = _loss_rows(cfg, batch, labels, slots)
             grads = model.backward(params, trace, np.stack(slot_grads, axis=1).reshape(embedded.shape), freeze)
             batch_loss = 0.0
             for value, label in zip(values.tolist(), labels.tolist()):

@@ -48,6 +48,12 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             small_config(sigma_n=-0.1)
 
+    @pytest.mark.parametrize("name", ["subject_radius", "sigma_n", "sigma_i", "injury_shift"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scale(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must be finite$"):
+            small_config(**{name: value})
+
     def test_rejects_zero_counts(self):
         with pytest.raises(ConfigError):
             small_config(n_injured=0)

@@ -91,6 +91,24 @@ class TestGenuineSets:
         assert all(s.a.subject_id != 9 for s in sets)
 
 
+    @pytest.mark.parametrize(
+        "builder, kind, subclass, reason",
+        [
+            (build_genuine_sets, "genuine-set", Subclass.NON_INJURED, "missing a subclass"),
+            (build_imposter_sets, "imposter-set", Subclass.INJURED, "no non-injured samples"),
+            (build_cl_pairs, "contrastive-pair", Subclass.NON_INJURED, "missing a subclass"),
+            (build_triplets, "triplet", Subclass.NON_INJURED, "missing a subclass"),
+        ],
+    )
+    def test_skip_warning_text_and_caller(self, builder, kind, subclass, reason):
+        lone = (Sample(9, subclass, 0, [1.0, 1.0]),)
+        extra = SubjectRecord(9, lone, ()) if subclass is Subclass.NON_INJURED else SubjectRecord(9, (), lone)
+        with pytest.warns(UserWarning) as caught:
+            builder(Dataset(2, (*tiny_dataset(2, 1, 2).subjects, extra)), 1, seed=0)
+        assert [str(w.message) for w in caught] == [f"{kind} mining skipped subjects: [(9, '{reason}')]"]
+        assert caught[0].filename == __file__
+
+
 class TestImposterSets:
     def test_forced_choice_two_subjects(self):
         ds = tiny_dataset(n_subjects=2, n_non=1, n_inj=1)

@@ -374,6 +374,12 @@ class TestParameterVector:
         assert m.layers[0].weight.tolist() == [[1.0, 0.0], [0.0, 1.0]] and m.layers[0].bias.tolist() == [0.0, 0.0]
         assert m.vector.tolist() == [1.0, 0.0, 0.0, 1.0, 0.0, 0.0]
 
+    def test_copy_of_writable_input_cannot_be_made_writable(self):
+        layer = model.Layer(np.eye(2), np.zeros(2), "identity")
+        for a in (layer.weight, layer.bias):
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
+
     def test_no_memory_shared_with_read_only_input(self):
         weight = np.frombuffer(np.arange(6.0).tobytes()).reshape(2, 3)
         bias = np.frombuffer(np.ones(2).tobytes())

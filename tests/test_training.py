@@ -249,6 +249,16 @@ class TestTrainConfigValidation:
         with pytest.raises(ConfigError, match=r"^all margins must be > 0$"):
             TrainConfig(**{key: float("nan")})
 
+    @pytest.mark.parametrize("key", ["alpha1", "alpha2", "cl_margin", "tl_margin"])
+    def test_infinite_margin(self, key):
+        with pytest.raises(ConfigError, match=r"^all margins must be finite$"):
+            TrainConfig(**{key: float("inf")})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate(self, value):
+        with pytest.raises(ConfigError, match=r"^learning_rate must be finite$"):
+            TrainConfig(learning_rate=value)
+
     def test_bad_batch(self):
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1)
