@@ -126,23 +126,31 @@ class SubjectRecord:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An immutable collection of subjects with a single embedding dimension."""
+    """An immutable collection of subjects with a single embedding dimension.
+    ``counts`` is a read-only int64 array of each subject's intact and injured
+    sample counts, one row per subject."""
 
     dimension: int
     subjects: tuple[SubjectRecord, ...]
+    counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "subjects", tuple(sorted(self.subjects, key=lambda r: r.subject_id)))
         seen = set()
+        counts = []
         for record in self.subjects:
             if record.subject_id in seen:
                 raise DataError(f"duplicate subject id {record.subject_id}")
             seen.add(record.subject_id)
+            counts.append((len(record.non_injured), len(record.injured)))
             for s in record.samples:
                 if len(s.embedding) != self.dimension:
                     raise DataError(
                         f"sample {s.key} has dimension {len(s.embedding)}, dataset declares {self.dimension}"
                     )
+        counts = np.array(counts, dtype=np.int64).reshape(-1, 2)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
 
     @classmethod
     def from_samples(cls, dimension: int, samples) -> "Dataset":

@@ -34,21 +34,21 @@ Draws
 Each miner draws from ``numpy.random.default_rng(seed)`` as a loop over its
 subjects in dataset order and ``per_subject`` units each would, with one
 ``Generator.integers(n)`` call per sample or donor picked; a genuine set
-picks its (b, c) pair with ``Generator.choice(n, 2, replace=False)``.
-Instead of making those calls the miners replay the stream they read.
-PCG64's 32-bit outputs are the halves of ``bit_generator.random_raw``, low
-half first.  ``integers(n)`` turns one half into a value by Lemire's
-multiply-shift method (arXiv:1805.10941), or takes none when n == 1, and
-``choice(n, 2, replace=False)`` is Floyd's algorithm, ``below(n-1)`` then
-``below(n)`` with a repeat taking n - 1, followed by the ``below(2)`` of
-numpy's shuffle, which swaps the pair on 0.  Every draw's bound is fixed by
-the data except a donor's injured sample, which takes a half only when the
-donor has two or more; so when all donors agree on that, the halves each
-draw takes are known in advance and all draws are computed at once, as
-whole lanes.  Where donors disagree, or where a lane's Lemire leftover falls
-below its bound (numpy may then reject the half and draw again), the miner
-makes the scalar ``Generator.integers`` calls instead: ``choice``'s three
-draws are the same ``integers`` draws.  The output is the same either way,
+picks its (b, c) pair with ``Generator.choice(n, 2, replace=False)``, which
+is Floyd's algorithm: ``integers(n-1)`` then ``integers(n)``, a repeat
+taking n - 1, then the ``integers(2)`` of numpy's shuffle, which swaps the
+pair on 0.  The miners make all those calls as one
+``Generator.integers(0, bounds)`` over a (unit, draw) array of bounds, which
+draws element by element in row-major order as the scalar calls would, a
+bound of 1 drawing nothing.  Every bound is fixed by the data except a
+donor's injured sample, bounded by the count of the donor drawn just before
+it.  When every donor has two or more, that column is drawn at bound 2**32,
+which returns a raw 32-bit half, and Lemire's multiply-shift method
+(arXiv:1805.10941) maps the half to the donor's count as ``integers`` does;
+when every donor has one, the column's bound is 1.  Where donors disagree,
+or where a mapped half's leftover falls below its bound (numpy may then
+reject the half and draw again), the miner makes the scalar
+``Generator.integers`` calls instead.  The output is the same either way,
 and only as long as numpy keeps these algorithms: the per-call builders
 this replaced are kept in the tests as the oracle.
 """
@@ -166,20 +166,15 @@ def _anchors(ds: Dataset, kind: str, need_injured: bool = True) -> np.ndarray:
     one, are skipped with one warning naming ``kind``, attributed to the
     first caller outside this module.
     """
-    out = []
-    skipped: list[tuple[int, str]] = []
-    reason = "missing a subclass" if need_injured else "no non-injured samples"
-    for pos, record in enumerate(ds.subjects):
-        if not record.non_injured or need_injured and not record.injured:
-            skipped.append((record.subject_id, reason))
-        else:
-            out.append(pos)
-    if skipped:
+    eligible = (ds.counts if need_injured else ds.counts[:, :1]).all(axis=1)
+    if not eligible.all():
+        reason = "missing a subclass" if need_injured else "no non-injured samples"
+        skipped = [(ds.subjects[pos].subject_id, reason) for pos in np.flatnonzero(~eligible).tolist()]
         frame, level = sys._getframe(1), 2
         while frame.f_globals.get("__name__") == __name__:
             frame, level = frame.f_back, level + 1
         warnings.warn(f"{kind} mining skipped subjects: {skipped}", stacklevel=level)
-    return np.array(out, dtype=np.int64)
+    return np.flatnonzero(eligible)
 
 
 class _Subjects:
@@ -188,8 +183,7 @@ class _Subjects:
     (the subjects with injured samples), or the donor count if it is none."""
 
     def __init__(self, ds: Dataset):
-        self.non = np.array([len(r.non_injured) for r in ds.subjects], dtype=np.int64)
-        self.inj = np.array([len(r.injured) for r in ds.subjects], dtype=np.int64)
+        self.non, self.inj = ds.counts.T
         self.first = (self.non + self.inj).cumsum() - self.non - self.inj
         donor = self.inj > 0
         self.donor_rows = (self.first + self.non)[donor]
@@ -216,23 +210,13 @@ _HALF = np.uint64(32)
 
 
 def _lemire(halves: np.ndarray, bounds: np.ndarray):
-    """``Generator.integers(bound)`` drawn from one 32-bit half per lane by
+    """``Generator.integers(bound)`` drawn from one 32-bit half per entry by
     Lemire's method, for bounds up to 2**32: the values, and whether each
-    lane's leftover fell below its bound, where numpy may have rejected the
-    half and drawn another."""
+    leftover fell below its bound, where numpy may have rejected the half
+    and drawn another."""
     bounds = bounds.astype(np.uint64)
-    m = halves * bounds
+    m = halves.astype(np.uint64) * bounds
     return (m >> _HALF).astype(np.int64), (m & _LOW) < bounds
-
-
-def _halves(seed: int, consumes: np.ndarray) -> np.ndarray:
-    """The 32-bit half of ``default_rng(seed)``'s stream each lane takes,
-    lanes in row-major order, where ``consumes``; 0 elsewhere."""
-    n = int(np.count_nonzero(consumes))
-    raw = np.random.default_rng(seed).bit_generator.random_raw(-(-n // 2))
-    halves = np.zeros(consumes.shape, np.uint64)
-    halves[consumes] = raw.astype("<u8", copy=False).view("<u4")[:n]  # little-endian: the low half first
-    return halves
 
 
 def _draw(seed: int, bounds: np.ndarray, donor=None) -> np.ndarray:
@@ -244,21 +228,20 @@ def _draw(seed: int, bounds: np.ndarray, donor=None) -> np.ndarray:
     donor other than the unit's own position ``own[u]`` among the donors,
     holding the chosen donor's position, and column ``sample`` an injured
     sample of it: its bound is that donor's entry of ``counts``, and
-    ``bounds[:, sample]`` is ignored.
+    ``bounds[:, sample]`` is overwritten.
     """
-    consumes = bounds > 1
-    pick = sample = -1
-    if donor is not None:
-        pick, sample, own, counts = donor
-        many = counts > 1
-        consumes[:, sample] = many.any()
-    if donor is None or many.all() or not many.any():
-        halves = _halves(seed, consumes)
-        values, rejected = _lemire(halves, bounds)
-        if donor is not None:
-            values[:, pick] += values[:, pick] >= own
-            values[:, sample], rejected[:, sample] = _lemire(halves[:, sample], counts[values[:, pick]])
-        if not (rejected & consumes).any():
+    if donor is None:
+        return np.random.default_rng(seed).integers(0, bounds)
+    pick, sample, own, counts = donor
+    many = counts > 1
+    if many.all() or not many.any():
+        bounds[:, sample] = 1 << 32 if many.all() else 1  # a raw half, or no draw
+        values = np.random.default_rng(seed).integers(0, bounds)
+        values[:, pick] += values[:, pick] >= own
+        if not many.any():
+            return values
+        values[:, sample], rejected = _lemire(values[:, sample], counts[values[:, pick]])
+        if not rejected.any():
             return values
     rng = np.random.default_rng(seed)
     rows = bounds.tolist()

@@ -15,8 +15,9 @@ Checkpoints are a versioned binary format::
     data    ModelParams.vector, float64 LE: per layer, row-major weight then bias
     meta    u32 LE byte length + UTF-8 JSON (epoch, seed, loss history, ...)
 
-Loading refuses unknown versions and raises on truncated or mangled files;
-a save/load round trip reproduces parameters bit-exactly.
+Loading refuses unknown versions and raises on truncated or mangled files
+and on non-finite parameters; a save/load round trip reproduces parameters
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -327,6 +328,9 @@ def load_checkpoint(path) -> Checkpoint:
                 f"corrupt checkpoint: truncated, layers declare {declared} bytes, {_bytes_left(fh)} left"
             )
         vector = np.frombuffer(fh.read(declared), dtype="<f8")
+        bad = np.flatnonzero(~np.isfinite(vector))
+        if bad.size:
+            raise CheckpointError(f"corrupt checkpoint: non-finite parameter {vector[bad[0]]} at index {bad[0]}")
         (meta_len,) = struct.unpack("<I", _read_exact(fh, 4, "metadata length"))
         meta_bytes = _read_exact(fh, meta_len, "metadata")
         trailing = fh.read(1)

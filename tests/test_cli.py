@@ -289,6 +289,18 @@ class TestEval:
         assert rc == 3
         assert capsys.readouterr().err == "data error: corrupt checkpoint: final layer activation must be identity\n"
 
+    def test_nan_parameter_checkpoint_exit_3(self, tmp_path, trained, capsys):
+        cfg, data, ckpt = trained
+        mangled = bytearray(open(ckpt, "rb").read())
+        mangled[16 + 2 * 9 : 16 + 2 * 9 + 8] = struct.pack("<d", float("nan"))  # the first parameter
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(bytes(mangled))
+        capsys.readouterr()
+        rc = main(["eval", str(bad), data, "--config", cfg, "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == "data error: corrupt checkpoint: non-finite parameter nan at index 0\n"
+        assert not (tmp_path / "x" / "report.json").exists()
+
     def test_distractor_dimension_mismatch_names_the_file(self, tmp_path, trained, capsys):
         cfg, data, ckpt = trained
         lines = ["subject_id,subclass,sample_index," + ",".join(f"f{k}" for k in range(4)), "1000,N,0,1,2,3,4"]

@@ -2,9 +2,10 @@
 
 :mod:`scalar_miners` keeps the per-call builders; every public builder and
 :func:`sclmetric.mining.make_batches` must return the same units, object for
-object, over 300 seeds each.  The datasets cover both paths of the replay:
-uniform injured counts take the lane replay, mixed donor sizes the scalar
-fallback.  A forced rejection sends a uniform dataset down the fallback too.
+object, over 300 seeds each.  The datasets cover both paths of the draws:
+donors that all have one injured sample, or all several, take the array
+call, mixed donor sizes the scalar fallback.  A forced rejection of a donor
+sample's half sends a dataset down the fallback too.
 """
 
 from dataclasses import fields
@@ -41,6 +42,9 @@ DATASETS = {
     "mixed": irregular_dataset([(2, 1), (1, 0), (3, 2), (0, 2), (1, 5), (2, 1), (4, 3)]),
     # Every donor has exactly one injured sample, so no donor draw takes a half.
     "single-injured": irregular_dataset([(1, 1), (3, 1), (0, 1), (2, 0), (2, 1)]),
+    # Every donor has several injured samples, in unequal numbers: each donor
+    # sample's half is mapped to the count of the donor drawn for its unit.
+    "unequal-donors": irregular_dataset([(2, 2), (1, 3), (3, 5), (1, 2), (2, 4), (4, 3), (1, 7)]),
 }
 
 
@@ -81,13 +85,26 @@ def test_batches_are_the_oracle_batches(batch_size):
             assert_same_units(g.imposter_sets, e.imposter_sets)
 
 
+def test_array_bound_integers_are_the_scalar_calls_in_row_major_order():
+    """The numpy property the miners rest on: ``integers(0, bounds)`` over a
+    2-D array returns what scalar ``integers(b)`` calls return, made in
+    row-major order, and leaves the generator in the same state.  Bound 1
+    draws nothing, 2**32 returns a raw half and 2**31 + 1 often rejects."""
+    choices = np.array([1, 2, 3, 7, 1000003, 2**31 + 1, 1 << 32], dtype=np.int64)
+    for seed in range(300):
+        bounds = np.random.default_rng([seed, 1]).choice(choices, size=(seed % 7 + 1, 5))
+        bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert bulk.integers(0, bounds).tolist() == [[scalar.integers(b) for b in row] for row in bounds.tolist()]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
 @pytest.mark.parametrize("bound", [2**32 - 1, 2**32 - 5, 3 * 2**30 + 7, 2**31 + 1, 1000003])
 def test_lemire_lanes_match_the_generator(bound):
     """Every accepted half gives ``Generator.integers``' value, and every half
     numpy rejects (leftover below 2**32 mod bound) is flagged."""
     threshold = 2**32 % bound
     for seed in range(50):
-        halves = mining._halves(seed, np.ones(256, dtype=bool))
+        halves = np.random.default_rng(seed).integers(0, 1 << 32, size=256)
         values, flagged = mining._lemire(halves, np.full(256, bound))
         rng = np.random.default_rng(seed)
         lane = 0
@@ -99,27 +116,25 @@ def test_lemire_lanes_match_the_generator(bound):
             lane += 1
 
 
-@pytest.mark.parametrize(
-    "builder, call", [(b, 0) for b in BUILDERS] + [(b, 1) for b in BUILDERS if b != "build_genuine_sets"]
-)
-def test_a_rejected_lane_falls_back_to_the_oracle_units(builder, call, monkeypatch):
-    """A rejection in the helper's first call of a miner (every column) or
-    its second (the donors' injured samples) sends it to the fallback."""
+@pytest.mark.parametrize("last", [0, 1])
+@pytest.mark.parametrize("builder", BUILDERS[1:])
+def test_a_rejected_lane_falls_back_to_the_oracle_units(builder, last, monkeypatch):
+    """A rejection of the first or the last unit's donor-sample half sends
+    the miner to the fallback."""
     lemire = mining._lemire
     calls = []
 
-    def reject_last_lane(halves, bounds):
+    def reject_one_lane(halves, bounds):
         values, flagged = lemire(halves, bounds)
-        if len(calls) == call:
-            # As if numpy had rejected these halves: their values are not the draws.
-            values[..., -1:], flagged[..., -1:] = -1, True
-        calls.append(call)
+        # As if numpy had rejected this half: its value is not the draw.
+        values[-last], flagged[-last] = -1, True
+        calls.append(last)
         return values, flagged
 
-    monkeypatch.setattr(mining, "_lemire", reject_last_lane)
+    monkeypatch.setattr(mining, "_lemire", reject_one_lane)
     ds = DATASETS["hard"]
     for seed in range(20):
         calls.clear()
         expected = getattr(scalar_miners, builder)(ds, 2, seed)
         assert_same_units(getattr(mining, builder)(ds, 2, seed), expected)
-        assert len(calls) > call
+        assert calls == [last]

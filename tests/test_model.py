@@ -563,6 +563,17 @@ class TestCheckpointErrors:
             model.load_checkpoint(path)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter(self, tmp_path, value):
+        path = write_raw_checkpoint(tmp_path / "model.ckpt", [(4, 3, 1), (2, 4, 0)])
+        data = bytearray(path.read_bytes())
+        at = 16 + 2 * 9 + 8 * 5  # the sixth parameter, after the two layer headers
+        data[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError) as info:
+            model.load_checkpoint(path)
+        assert str(info.value) == f"corrupt checkpoint: non-finite parameter {value} at index 5"
+
     def test_valid_raw_checkpoint_loads(self, tmp_path):
         ckpt = model.load_checkpoint(write_raw_checkpoint(tmp_path / "model.ckpt", [(4, 3, 1), (2, 4, 0)], b'{"a": 1}'))
         assert ckpt.params == model.ModelParams(
