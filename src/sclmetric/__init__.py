@@ -91,7 +91,6 @@ from .training import (
     TrainLog,
     adam_step,
     derive_seed,
-    sgd_step,
     train,
 )
 

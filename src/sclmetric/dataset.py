@@ -103,12 +103,13 @@ class SubjectRecord:
         inj = tuple(sorted(self.injured, key=lambda s: s.sample_index))
         object.__setattr__(self, "non_injured", non)
         object.__setattr__(self, "injured", inj)
-        for s in non:
-            if s.subject_id != self.subject_id or s.subclass is not Subclass.NON_INJURED:
-                raise DataError(f"sample {s.key} does not belong in the N list of subject {self.subject_id}")
-        for s in inj:
-            if s.subject_id != self.subject_id or s.subclass is not Subclass.INJURED:
-                raise DataError(f"sample {s.key} does not belong in the I list of subject {self.subject_id}")
+        for group, subclass in ((non, Subclass.NON_INJURED), (inj, Subclass.INJURED)):
+            for s in group:
+                if s.subject_id != self.subject_id or s.subclass is not subclass:
+                    raise DataError(f"sample {s.key} does not belong in the {subclass.value} list of subject {self.subject_id}")
+            for s, after in zip(group, group[1:]):
+                if s.sample_index == after.sample_index:
+                    raise DataError(f"duplicate sample key {s.key}")
 
     @property
     def samples(self) -> tuple[Sample, ...]:
@@ -154,13 +155,9 @@ class Dataset:
 
     @classmethod
     def from_samples(cls, dimension: int, samples) -> "Dataset":
-        """Group loose samples into a canonical Dataset, rejecting duplicates."""
+        """Group loose samples into a canonical Dataset; :class:`SubjectRecord` rejects duplicates."""
         by_subject: dict[int, dict[Subclass, list[Sample]]] = {}
-        seen: set[tuple[int, str, int]] = set()
         for s in samples:
-            if s.key in seen:
-                raise DataError(f"duplicate sample key {s.key}")
-            seen.add(s.key)
             by_subject.setdefault(s.subject_id, {Subclass.NON_INJURED: [], Subclass.INJURED: []})
             by_subject[s.subject_id][s.subclass].append(s)
         records = [

@@ -100,16 +100,18 @@ class ModelParams:
             raise DataError("model needs at least one layer")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.out_dim != nxt.in_dim:
-                raise DataError(
-                    f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}"
-                )
+                raise DataError(f"layer dims do not chain: {prev.out_dim} -> {nxt.in_dim}")
         if self.layers[-1].activation != "identity":
             raise DataError("final layer activation must be identity")
         object.__setattr__(self, "_shapes", tuple((l.out_dim, l.in_dim, l.activation) for l in self.layers))
-        # Backed by bytes, so the layers can keep views of it.
-        vector = np.frombuffer(self.join([(l.weight, l.bias) for l in self.layers]).tobytes())
+        self._hold(self.join([(l.weight, l.bias) for l in self.layers]))
+
+    def _hold(self, vector: np.ndarray) -> ModelParams:
+        """Hold one bytes-backed copy of ``vector``, which nothing can write, and the layers as views of it."""
+        vector = np.frombuffer(np.asarray(vector, dtype=np.float64).tobytes())
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "layers", tuple(Layer(*view) for view in _split(vector, self._shapes)))
+        return self
 
     @property
     def input_dim(self) -> int:
@@ -119,24 +121,31 @@ class ModelParams:
     def output_dim(self) -> int:
         return self.layers[-1].out_dim
 
+    def _fits(self, vector: np.ndarray) -> np.ndarray:
+        if np.shape(vector) != self.vector.shape:
+            raise ConfigError(f"vector shape {np.shape(vector)} does not match parameter vector {self.vector.shape}")
+        return vector
+
     def split(self, vector: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per-layer ``(weight, bias)`` views of a vector laid out like ``self.vector``."""
-        return tuple((w, b) for w, b, _ in _split(vector, self._shapes))
+        return tuple((w, b) for w, b, _ in _split(self._fits(vector), self._shapes))
 
     def join(self, pairs) -> np.ndarray:
         """A new vector laid out like ``self.vector`` from ``(weight, bias)`` pairs shaped like the layers."""
         if len(pairs) != len(self._shapes):
             raise ConfigError("gradient structure does not match model depth")
         vector = np.empty(sum(out_dim * in_dim + out_dim for out_dim, in_dim, _ in self._shapes))
-        for (w, b), (pw, pb) in zip(self.split(vector), pairs):
+        for (w, b, _), (pw, pb) in zip(_split(vector, self._shapes), pairs):
             if pw.shape != w.shape or pb.shape != b.shape:
                 raise ConfigError(f"gradient shapes {pw.shape}/{pb.shape} do not match layer {w.shape}/{b.shape}")
             w[...], b[...] = pw, pb
         return vector
 
     def with_vector(self, vector: np.ndarray) -> ModelParams:
-        """The same layers holding the parameters of ``vector`` (copied)."""
-        return ModelParams(tuple(Layer(*view) for view in _split(vector, self._shapes)))
+        """The same architecture, unchecked again, holding a read-only copy of ``vector``."""
+        params = object.__new__(ModelParams)
+        object.__setattr__(params, "_shapes", self._shapes)
+        return params._hold(self._fits(vector))
 
     def __eq__(self, other):
         if not isinstance(other, ModelParams):

@@ -1,16 +1,17 @@
-"""Optimizers and the epoch loop wiring mining -> forward -> loss -> update.
+"""Adam and the epoch loop wiring mining -> forward -> loss -> update.
 
-Every epoch re-mines its training units with an epoch-derived seed, as
-row indices into one matrix of the dataset's samples stacked once per
+Every epoch re-mines its training units with an epoch-derived seed, as row
+indices into one matrix of the dataset's samples stacked once per
 :func:`train` call, packs them into ~1:1 batches, and takes one Adam step
-per batch.  A batch's slot rows, gathered from that matrix in (unit, slot)
-order, go through one forward pass, the row kernel of the run's loss kind
-and one backward pass.  The backward pass drops the inactive slots, whose
-rows would add only exact zeros, and sums the rest in order with one
-exact-product reduce per layer, so the parameters are bit for bit those of
-a per-unit loop that skips them.  Training is fully deterministic:
-(dataset, config, seed) fix the returned parameters bit-exactly, and a
-frozen layer prefix never changes.
+per batch on the parameter vector, whose layout Adam's moments share; the
+updated vector becomes the next model in one copy.  A batch's slot rows,
+gathered from that matrix in (unit, slot) order, go through one forward
+pass, the row kernel of the run's loss kind and one backward pass.  The
+backward pass drops the inactive slots, whose rows would add only exact
+zeros, and sums the rest in order with one exact-product reduce per layer,
+so the parameters are bit for bit those of a per-unit loop that skips
+them.  Training is fully deterministic: (dataset, config, seed) fix the
+returned parameters bit-exactly, and a frozen layer prefix never changes.
 
 The :class:`TrainConfig` defaults are the reference regime, learning rate
 3e-6 over 30 epochs, for fine-tuning a large pretrained backbone; that
@@ -53,38 +54,31 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators mirroring the parameter shapes."""
+    """Adam's moment vectors, laid out like ``ModelParams.vector``, and its step count."""
 
-    m: tuple
-    v: tuple
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_model(cls, params: model.ModelParams):
-        return cls(model.zero_gradients(params), model.zero_gradients(params))
+        return cls(np.zeros_like(params.vector), np.zeros_like(params.vector))
 
 
 def adam_step(params: model.ModelParams, grads, state: AdamState, lr: float):
     """One bias-corrected Adam update; returns (new params, new state).
 
-    m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;  with bias-corrected
-    m_hat, v_hat the update is theta <- theta - lr * m_hat / (sqrt(v_hat) + eps)
-    on the parameter vector.  Frozen parameters arrive with zero gradients and
-    are left bit-identical.
-    """
-    g, m, v = (params.join(pairs) for pairs in (grads, state.m, state.v))
+    Elementwise on the parameter vector, in this order: m <- b1*m + (1-b1)*g; v <- b2*v + (1-b2)*g*g;
+    m_hat, v_hat <- m/(1-b1^t), v/(1-b2^t); theta <- theta - lr*m_hat/(sqrt(v_hat) + eps).  An entry
+    whose gradient has always been zero keeps its bits, so frozen parameters never move."""
+    g = params.join(grads)
     t = state.t + 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * v + (1.0 - b2) * g * g
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
     m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
     theta = params.vector - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params.with_vector(theta), AdamState(params.split(m), params.split(v), t)
-
-
-def sgd_step(params: model.ModelParams, grads, lr: float) -> model.ModelParams:
-    """Plain gradient descent: theta <- theta - lr * g."""
-    return params.with_vector(params.vector - lr * params.join(grads))
+    return params.with_vector(theta), AdamState(m, v, t)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,11 +52,11 @@ def dataset_csv(tmp_path):
 class TestSynth:
     def test_row_count_and_determinism(self, tmp_path, dataset_csv):
         cfg, path = dataset_csv
-        lines = open(path, encoding="utf-8").read().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1 + 8 * (3 + 3)
         out2 = tmp_path / "synth2"
         assert main(["synth", "--config", cfg, "--seed", "3", "--out", str(out2)]) == 0
-        assert open(path, "rb").read() == open(out2 / "dataset.csv", "rb").read()
+        assert Path(path).read_bytes() == (out2 / "dataset.csv").read_bytes()
 
     def test_invalid_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -270,7 +271,7 @@ class TestEval:
 
     def test_overflowing_checkpoint_header_exit_3(self, tmp_path, trained, capsys):
         cfg, data, ckpt = trained
-        mangled = bytearray(open(ckpt, "rb").read())
+        mangled = bytearray(Path(ckpt).read_bytes())
         mangled[16:24] = struct.pack("<II", 2**32 - 1, 2**32 - 1)  # first layer's out, in
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(mangled))
@@ -280,7 +281,7 @@ class TestEval:
 
     def test_relu_last_layer_checkpoint_exit_3(self, tmp_path, trained, capsys):
         cfg, data, ckpt = trained
-        mangled = bytearray(open(ckpt, "rb").read())
+        mangled = bytearray(Path(ckpt).read_bytes())
         mangled[16 + 9 + 8] = 1  # the second (last) layer's activation code: relu
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(mangled))
@@ -291,7 +292,7 @@ class TestEval:
 
     def test_nan_parameter_checkpoint_exit_3(self, tmp_path, trained, capsys):
         cfg, data, ckpt = trained
-        mangled = bytearray(open(ckpt, "rb").read())
+        mangled = bytearray(Path(ckpt).read_bytes())
         mangled[16 + 2 * 9 : 16 + 2 * 9 + 8] = struct.pack("<d", float("nan"))  # the first parameter
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(bytes(mangled))
@@ -318,7 +319,7 @@ class TestEval:
     def test_non_utf8_csv_exit_3(self, tmp_path, trained, capsys, role):
         cfg, data, ckpt = trained
         bad = tmp_path / "bad.csv"
-        bad.write_bytes(open(data, "rb").read() + b"1000,N,0," + b",".join([b"1.0"] * 5) + b",\xff\xfe\n")
+        bad.write_bytes(Path(data).read_bytes() + b"1000,N,0," + b",".join([b"1.0"] * 5) + b",\xff\xfe\n")
         dataset, extra = (str(bad), []) if role == "dataset" else (data, ["--extended-gallery", str(bad)])
         capsys.readouterr()
         assert main(["eval", ckpt, dataset, "--config", cfg, "--out", str(tmp_path / "x"), *extra]) == 3

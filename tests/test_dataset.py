@@ -337,6 +337,12 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset.from_samples(1, [s, s])
 
+    def test_record_rejects_a_repeated_sample_index(self):
+        intact = _sample(0, Subclass.NON_INJURED, 0, [1.0])
+        injured = (_sample(0, Subclass.INJURED, 0, [2.0]), _sample(0, Subclass.INJURED, 0, [3.0]))
+        with pytest.raises(DataError, match=r"^duplicate sample key \(0, 'I', 0\)$"):
+            SubjectRecord(0, (intact,), injured)
+
     def test_subclass_consistency_enforced(self):
         bad = _sample(0, Subclass.INJURED, 0, [1.0])
         with pytest.raises(DataError):

@@ -395,6 +395,39 @@ class TestParameterVector:
         assert m.join(pairs).tolist() == list(range(m.vector.size))
         assert m.join([(l.weight, l.bias) for l in m.layers]).tobytes() == m.vector.tobytes()
 
+    @pytest.mark.parametrize(
+        "reshape, shape",
+        [(lambda v: np.append(v, 9.0), "(27,)"), (lambda v: v[:-1], "(25,)"), (lambda v: v.reshape(1, -1), "(1, 26)")],
+        ids=["extra-entry", "missing-entry", "row-matrix"],
+    )
+    def test_vector_of_another_shape_rejected(self, reshape, shape):
+        m = init_model([3, 4, 2], seed=0)
+        message = f"vector shape {shape} does not match parameter vector (26,)"
+        for call in (m.with_vector, m.split):
+            with pytest.raises(ConfigError) as info:
+                call(reshape(m.vector))
+            assert str(info.value) == message
+
+    def test_with_vector_holds_one_read_only_copy(self, tmp_path):
+        m = init_model([3, 4, 2], seed=0)
+        arg = m.vector * 2.0
+        stepped = m.with_vector(arg)
+        assert type(stepped.vector.base) is bytes and not stepped.vector.flags.writeable
+        with pytest.raises(ValueError):
+            stepped.vector.setflags(write=True)
+        expected = np.concatenate([np.concatenate((l.weight.ravel(), l.bias)) for l in stepped.layers])
+        assert stepped.vector.tobytes() == expected.tobytes() == arg.tobytes()
+        for layer in stepped.layers:
+            for a in (layer.weight, layer.bias):
+                assert np.shares_memory(a, stepped.vector) and not a.flags.writeable
+        assert arg.flags.writeable and not np.shares_memory(arg, stepped.vector)
+        arg[0] = 7.0
+        assert stepped.vector[0] == m.vector[0] * 2.0
+        built = model.ModelParams(tuple(model.Layer(l.weight * 2.0, l.bias * 2.0, l.activation) for l in m.layers))
+        model.save_checkpoint(stepped, {"epoch": 1}, tmp_path / "stepped.ckpt")
+        model.save_checkpoint(built, {"epoch": 1}, tmp_path / "built.ckpt")
+        assert (tmp_path / "stepped.ckpt").read_bytes() == (tmp_path / "built.ckpt").read_bytes()
+
     def test_equality_compares_architecture_and_values(self):
         m = init_model([3, 4, 2], seed=1)
         assert m.with_vector(m.vector) == m

@@ -1,4 +1,6 @@
-"""Optimizers and the training loop: hand-checked steps, determinism, descent."""
+"""Adam and the training loop: hand-checked steps, determinism, descent."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from dataclasses import replace
 from sclmetric import model, presets, training
 from sclmetric.dataset import Dataset, SynthConfig, SubjectRecord, generate_synthetic
 from sclmetric.errors import ConfigError, NumericError
-from sclmetric.training import AdamState, TrainConfig, adam_step, sgd_step, train
+from sclmetric.training import AdamState, TrainConfig, adam_step, train
 
 import per_unit_trainer
 
@@ -54,7 +56,31 @@ class TestAdamStep:
         m, state = adam_step(m, grad_like(m, 1.0), state, lr=0.0)
         m, state = adam_step(m, grad_like(m, 3.0), state, lr=0.0)
         assert state.t == 2
-        assert state.m[0][0][0, 0] == pytest.approx(0.9 * 0.1 + 0.1 * 3.0)
+        assert state.m[0] == pytest.approx(0.9 * 0.1 + 0.1 * 3.0)
+
+    def test_matches_a_per_entry_float_loop(self):
+        # Python floats in the documented order, bit for bit.  Three entries never get a gradient
+        # (one of them a -0.0 parameter, one a -0.0 gradient) and must keep their bits.
+        weight = model.init_model([3, 4, 2], seed=2).layers[0].weight.copy()
+        weight[0, 0] = -0.0
+        m = model.ModelParams((model.Layer(weight, np.zeros(4), "relu"), model.init_model([4, 2], seed=3).layers[0]))
+        still, initial = [0, 5, 12], m.vector.copy()
+        theta, mom, vel = m.vector.tolist(), [0.0] * m.vector.size, [0.0] * m.vector.size
+        state, lr, rng = AdamState.for_model(m), 1e-2, np.random.default_rng(5)
+        for t in range(1, 31):
+            g = rng.normal(size=m.vector.size)
+            g[still] = [0.0, -0.0, 0.0]
+            m, state = adam_step(m, m.split(g), state, lr)
+            for i, gi in enumerate(g.tolist()):
+                mom[i] = 0.9 * mom[i] + (1.0 - 0.9) * gi
+                vel[i] = 0.999 * vel[i] + (1.0 - 0.999) * gi * gi
+                m_hat, v_hat = mom[i] / (1.0 - 0.9**t), vel[i] / (1.0 - 0.999**t)
+                theta[i] = theta[i] - lr * m_hat / (math.sqrt(v_hat) + 1e-8)
+            assert m.vector.tobytes() == np.array(theta).tobytes()
+            assert state.m.tobytes() == np.array(mom).tobytes() and state.v.tobytes() == np.array(vel).tobytes()
+        assert state.t == 30
+        assert m.vector[still].tobytes() == initial[still].tobytes() and np.signbit(m.vector[0])
+        assert not np.array_equal(m.vector, initial)
 
     def test_shape_mismatch_rejected(self):
         m = model.init_model([3, 2], seed=0)
@@ -68,26 +94,17 @@ class TestAdamStep:
             adam_step(m, (), AdamState.for_model(m), lr=0.1)
         bad = ((np.zeros((2, 4)), np.zeros(2)),)
         with pytest.raises(ConfigError, match=r"^gradient shapes \(2, 4\)/\(2,\) do not match layer \(2, 3\)/\(2,\)$"):
-            sgd_step(m, bad, lr=0.1)
+            adam_step(m, bad, AdamState.for_model(m), lr=0.1)
 
     def test_moments_are_per_layer_views_of_one_vector(self):
         m = model.init_model([3, 4, 2], seed=0)
+        assert AdamState.for_model(m).m.shape == m.vector.shape
         _, state = adam_step(m, grad_like(m, 1.0, 2.0), AdamState.for_model(m), lr=0.1)
-        assert [(w.shape, b.shape) for w, b in state.m] == [((4, 3), (4,)), ((2, 4), (2,))]
-        assert state.v[0][0].base is state.v[1][1].base is not None
-        assert state.m[1][1].tolist() == [(1.0 - 0.9) * 2.0] * 2
-
-
-class TestSgdStep:
-    def test_zero_lr_identity(self):
-        m = model.init_model([3, 4, 2], seed=1)
-        assert sgd_step(m, grad_like(m, 5.0), lr=0.0) == m
-
-    def test_hand_values(self):
-        m = model.ModelParams((model.Layer(np.array([[1.0, 1.0]]), np.zeros(1), "identity"),))
-        grads = ((np.array([[1.0, -1.0]]), np.zeros(1)),)
-        stepped = sgd_step(m, grads, lr=0.5)
-        assert np.array_equal(stepped.layers[0].weight, [[0.5, 1.5]])
+        assert state.m.shape == state.v.shape == m.vector.shape
+        pairs = m.split(state.m)
+        assert [(w.shape, b.shape) for w, b in pairs] == [((4, 3), (4,)), ((2, 4), (2,))]
+        assert pairs[1][1].tolist() == [(1.0 - 0.9) * 2.0] * 2
+        assert m.split(state.v)[0][0].tolist() == [[(1.0 - 0.999) * 1.0 * 1.0] * 3] * 4
 
 
 def easy_dataset(seed=0):
