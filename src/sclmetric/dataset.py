@@ -374,9 +374,10 @@ def load_embeddings(path) -> Dataset:
                 values = [float(x) for x in parts[3:]]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: bad float field ({exc})") from None
-            if not all(math.isfinite(x) for x in values):
-                raise ParseError(f"{path}: line {lineno}: non-finite feature value")
-            samples.append(Sample(sid, Subclass(parts[1]), idx, values))
+            try:
+                samples.append(Sample(sid, Subclass(parts[1]), idx, values))
+            except DataError:  # the fields were checked above: only non-finiteness is left to fail
+                raise ParseError(f"{path}: line {lineno}: non-finite feature value") from None
     return Dataset.from_samples(dim, samples)
 
 

@@ -42,15 +42,12 @@ pair on 0.  The miners make all those calls as one
 draws element by element in row-major order as the scalar calls would, a
 bound of 1 drawing nothing.  Every bound is fixed by the data except a
 donor's injured sample, bounded by the count of the donor drawn just before
-it.  When every donor has two or more, that column is drawn at bound 2**32,
-which returns a raw 32-bit half, and Lemire's multiply-shift method
-(arXiv:1805.10941) maps the half to the donor's count as ``integers`` does;
-when every donor has one, the column's bound is 1.  Where donors disagree,
-or where a mapped half's leftover falls below its bound (numpy may then
-reject the half and draw again), the miner makes the scalar
-``Generator.integers`` calls instead.  The output is the same either way,
-and only as long as numpy keeps these algorithms: the per-call builders
-this replaced are kept in the tests as the oracle.
+it.  That column is drawn at the largest count, then redrawn until every
+unit's sample was drawn at the count of the donor it drew; that draw is the
+sequential one.  Where donors mix one and several injured samples, the
+miner makes the scalar ``Generator.integers`` calls instead.  The output is
+the same either way, and only as long as numpy keeps these algorithms: the
+per-call builders this replaced are kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -205,20 +202,6 @@ def _donors(subjects: _Subjects, use: str, required: bool = True) -> None:
         raise MiningError(f"{use} needs >= 2 subjects with injured samples, found {found}")
 
 
-_LOW = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-
-
-def _lemire(halves: np.ndarray, bounds: np.ndarray):
-    """``Generator.integers(bound)`` drawn from one 32-bit half per entry by
-    Lemire's method, for bounds up to 2**32: the values, and whether each
-    leftover fell below its bound, where numpy may have rejected the half
-    and drawn another."""
-    bounds = bounds.astype(np.uint64)
-    m = halves.astype(np.uint64) * bounds
-    return (m >> _HALF).astype(np.int64), (m & _LOW) < bounds
-
-
 def _draw(seed: int, bounds: np.ndarray, donor=None) -> np.ndarray:
     """Entry ``[u, j]``: what the j-th ``Generator.integers(bounds[u, j])``
     call of unit u returns, with every unit's calls made in column order,
@@ -235,14 +218,22 @@ def _draw(seed: int, bounds: np.ndarray, donor=None) -> np.ndarray:
     pick, sample, own, counts = donor
     many = counts > 1
     if many.all() or not many.any():
-        bounds[:, sample] = 1 << 32 if many.all() else 1  # a raw half, or no draw
-        values = np.random.default_rng(seed).integers(0, bounds)
-        values[:, pick] += values[:, pick] >= own
-        if not many.any():
-            return values
-        values[:, sample], rejected = _lemire(values[:, sample], counts[values[:, pick]])
-        if not rejected.any():
-            return values
+        # Guess every donor sample's bound, draw, and redraw at the bounds of the
+        # donors drawn until the two agree.  A self-consistent draw is the
+        # sequential one: by induction over units, each unit's leading draws
+        # are the scalar calls', so its donor, and so its bound, are too.  Each
+        # redraw fixes the bound of at least the first unit still wrong, so the
+        # loop ends; with donors of equal counts the first draw agrees.
+        bounds[:, sample] = counts.max(initial=1)
+        while True:
+            values = np.random.default_rng(seed).integers(0, bounds)
+            values[:, pick] += values[:, pick] >= own
+            implied = counts[values[:, pick]]
+            if (implied == bounds[:, sample]).all():
+                return values
+            bounds[:, sample] = implied
+    # Donors of one and of several samples: a bound of 1 draws nothing, so each
+    # fix would shift the stream after it and the redraws grow quadratically.
     rng = np.random.default_rng(seed)
     rows = bounds.tolist()
     for u, row in enumerate(rows):

@@ -74,8 +74,8 @@ def adam_step(params: model.ModelParams, grads, state: AdamState, lr: float):
     g = params.join(grads)
     t = state.t + 1
     b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    m = b1 * state.m + (1.0 - b1) * g
-    v = b2 * state.v + (1.0 - b2) * g * g
+    m = b1 * params._fits(state.m) + (1.0 - b1) * g
+    v = b2 * params._fits(state.v) + (1.0 - b2) * g * g
     m_hat, v_hat = m / (1.0 - b1**t), v / (1.0 - b2**t)
     theta = params.vector - lr * m_hat / (np.sqrt(v_hat) + eps)
     return params.with_vector(theta), AdamState(m, v, t)

@@ -192,9 +192,18 @@ class TestCsvRoundTrip:
                 "subject_id,subclass,sample_index,f0\n0,N,0,1.0\n\n\n1,N,0,zz\n",
                 "line 5: bad float field (could not convert string to float: 'zz')",
             ),
+            (
+                "subject_id,subclass,sample_index,f0,f1\n0,N,0,1.0,2.0\n0,I,0,1.0,nan\n",
+                "line 3: non-finite feature value",
+            ),
+            ("subject_id,subclass,sample_index,f0,f1\n0,N,0,-inf,2.0\n", "line 2: non-finite feature value"),
+            (
+                "subject_id,subclass,sample_index,f0,f1\n0,N,0,1.0,2.0\n\n1,I,4,1e400,0\n",
+                "line 4: non-finite feature value",
+            ),
         ],
         ids=["empty", "no-features", "misnamed-feature", "bad-int", "negative-id", "negative-index", "bad-float",
-             "blank-lines-counted"],
+             "blank-lines-counted", "nan", "minus-inf", "overflow"],
     )
     def test_parse_error_text_and_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"

@@ -14,7 +14,9 @@ from sclmetric.mining import (
     build_genuine_sets,
     build_imposter_sets,
     build_triplets,
+    cl_rows,
     make_batches,
+    triplet_rows,
 )
 
 
@@ -178,6 +180,11 @@ class TestContrastivePairs:
     def test_per_subject_zero_gives_empty(self):
         assert build_cl_pairs(random_dataset(), 0, seed=0) == []
 
+    def test_no_donors_and_per_subject_zero_give_empty_rows(self):
+        with pytest.warns(UserWarning, match="contrastive-pair mining skipped subjects"):
+            genuine, imposter = cl_rows(tiny_dataset(n_subjects=3, n_non=2, n_inj=0), 0, seed=0)
+        assert genuine.shape == imposter.shape == (0, 2)
+
 
 class TestTriplets:
     def test_forced_choice(self):
@@ -198,6 +205,10 @@ class TestTriplets:
     def test_single_subject_raises(self):
         with pytest.raises(MiningError):
             build_triplets(tiny_dataset(n_subjects=1), 1, seed=0)
+
+    def test_no_donors_and_per_subject_zero_give_empty_rows(self):
+        with pytest.warns(UserWarning, match="triplet mining skipped subjects"):
+            assert triplet_rows(tiny_dataset(n_subjects=3, n_non=2, n_inj=0), 0, seed=0).shape == (0, 3)
 
 
 class TestMakeBatches:

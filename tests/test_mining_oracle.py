@@ -4,8 +4,7 @@
 :func:`sclmetric.mining.make_batches` must return the same units, object for
 object, over 300 seeds each.  The datasets cover both paths of the draws:
 donors that all have one injured sample, or all several, take the array
-call, mixed donor sizes the scalar fallback.  A forced rejection of a donor
-sample's half sends a dataset down the fallback too.
+call and its redraws, mixed donor sizes the scalar loop.
 """
 
 from dataclasses import fields
@@ -38,12 +37,12 @@ DATASETS = {
     "hard": generate_synthetic(presets.hard_synth_config(3)),
     "easy": generate_synthetic(presets.easy_synth_config(4)),
     # Single-injured subjects, a subject missing each subclass, and donors of
-    # one, two and five injured samples: the donor draws need the fallback.
+    # one, two and five injured samples: the donor draws take the scalar loop.
     "mixed": irregular_dataset([(2, 1), (1, 0), (3, 2), (0, 2), (1, 5), (2, 1), (4, 3)]),
-    # Every donor has exactly one injured sample, so no donor draw takes a half.
+    # Every donor has exactly one injured sample, so no donor sample is drawn.
     "single-injured": irregular_dataset([(1, 1), (3, 1), (0, 1), (2, 0), (2, 1)]),
-    # Every donor has several injured samples, in unequal numbers: each donor
-    # sample's half is mapped to the count of the donor drawn for its unit.
+    # Every donor has several injured samples, in unequal numbers: the donor
+    # samples are redrawn until each is drawn at its donor's count.
     "unequal-donors": irregular_dataset([(2, 2), (1, 3), (3, 5), (1, 2), (2, 4), (4, 3), (1, 7)]),
 }
 
@@ -98,43 +97,22 @@ def test_array_bound_integers_are_the_scalar_calls_in_row_major_order():
         assert bulk.bit_generator.state == scalar.bit_generator.state
 
 
-@pytest.mark.parametrize("bound", [2**32 - 1, 2**32 - 5, 3 * 2**30 + 7, 2**31 + 1, 1000003])
-def test_lemire_lanes_match_the_generator(bound):
-    """Every accepted half gives ``Generator.integers``' value, and every half
-    numpy rejects (leftover below 2**32 mod bound) is flagged."""
-    threshold = 2**32 % bound
-    for seed in range(50):
-        halves = np.random.default_rng(seed).integers(0, 1 << 32, size=256)
-        values, flagged = mining._lemire(halves, np.full(256, bound))
-        rng = np.random.default_rng(seed)
-        lane = 0
-        while lane < 200:
-            while int(halves[lane]) * bound % 2**32 < threshold:
-                assert flagged[lane]
-                lane += 1
-            assert values[lane] == rng.integers(bound)
-            lane += 1
-
-
-@pytest.mark.parametrize("last", [0, 1])
-@pytest.mark.parametrize("builder", BUILDERS[1:])
-def test_a_rejected_lane_falls_back_to_the_oracle_units(builder, last, monkeypatch):
-    """A rejection of the first or the last unit's donor-sample half sends
-    the miner to the fallback."""
-    lemire = mining._lemire
-    calls = []
-
-    def reject_one_lane(halves, bounds):
-        values, flagged = lemire(halves, bounds)
-        # As if numpy had rejected this half: its value is not the draw.
-        values[-last], flagged[-last] = -1, True
-        calls.append(last)
-        return values, flagged
-
-    monkeypatch.setattr(mining, "_lemire", reject_one_lane)
-    ds = DATASETS["hard"]
-    for seed in range(20):
-        calls.clear()
-        expected = getattr(scalar_miners, builder)(ds, 2, seed)
-        assert_same_units(getattr(mining, builder)(ds, 2, seed), expected)
-        assert calls == [last]
+def test_the_redraw_is_the_scalar_calls_under_frequent_rejection():
+    """Donor counts of a few samples and counts near 2**32, where numpy
+    rejects up to about half the draws: ``_draw`` returns what a loop of
+    scalar ``Generator.integers`` calls returns."""
+    counts_from = np.array([2, 3, 7, 2**31 + 1, 3 * 2**30 + 7, 2**32 - 5], dtype=np.int64)
+    for seed in SEEDS:
+        rng = np.random.default_rng([seed, 2])
+        counts = rng.choice(counts_from, size=rng.integers(2, 9))
+        own = rng.integers(0, len(counts) + 1, size=rng.integers(1, 21))
+        pick, sample = sorted(rng.choice(5, 2, replace=False).tolist())
+        bounds = rng.choice(counts_from[:4], size=(len(own), 5))
+        bounds[:, pick] = len(counts) - (own < len(counts))
+        expected, scalar = [], np.random.default_rng(seed)
+        for u, row in enumerate(bounds.tolist()):
+            for j, bound in enumerate(row):
+                v = int(scalar.integers(counts[row[pick]] if j == sample else bound))
+                row[j] = v + (v >= own[u]) if j == pick else v
+            expected.append(row)
+        assert mining._draw(seed, bounds, (pick, sample, own, counts)).tolist() == expected

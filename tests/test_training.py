@@ -88,6 +88,14 @@ class TestAdamStep:
         with pytest.raises(ConfigError):
             adam_step(m, bad, AdamState.for_model(m), lr=0.1)
 
+    @pytest.mark.parametrize("size", [8, 1])
+    @pytest.mark.parametrize("moment", ["m", "v"])
+    def test_state_of_another_shape_rejected(self, moment, size):
+        m = model.init_model([3, 4, 2], seed=0)
+        state = replace(AdamState.for_model(m), **{moment: np.zeros(size)})
+        with pytest.raises(ConfigError, match=rf"^vector shape \({size},\) does not match parameter vector \(26,\)$"):
+            adam_step(m, model.zero_gradients(m), state, lr=0.1)
+
     def test_mismatch_messages(self):
         m = model.init_model([3, 2], seed=0)
         with pytest.raises(ConfigError, match=r"^gradient structure does not match model depth$"):
