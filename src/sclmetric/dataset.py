@@ -54,18 +54,17 @@ class Subclass(enum.Enum):
 
 
 def _freeze_vector(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise DataError(f"embedding must be a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DataError("embedding contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    return np.frombuffer(arr.tobytes())
 
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One feature vector of one subject, tagged with its subclass."""
+    """One feature vector of one subject, tagged with its subclass; a bytes-backed read-only copy."""
 
     subject_id: int
     subclass: Subclass
@@ -128,8 +127,8 @@ class SubjectRecord:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable collection of subjects with a single embedding dimension.
-    ``counts`` is a read-only int64 array of each subject's intact and injured
-    sample counts, one row per subject."""
+    ``counts`` is a bytes-backed read-only int64 array of each subject's intact
+    and injured sample counts, one row per subject."""
 
     dimension: int
     subjects: tuple[SubjectRecord, ...]
@@ -149,9 +148,8 @@ class Dataset:
                     raise DataError(
                         f"sample {s.key} has dimension {len(s.embedding)}, dataset declares {self.dimension}"
                     )
-        counts = np.array(counts, dtype=np.int64).reshape(-1, 2)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
+        counts = np.array(counts, dtype=np.int64).tobytes()
+        object.__setattr__(self, "counts", np.frombuffer(counts, dtype=np.int64).reshape(-1, 2))
 
     @classmethod
     def from_samples(cls, dimension: int, samples) -> "Dataset":

@@ -30,10 +30,10 @@ implementations to them bit-exactly):
   empirical FAR does not exceed the target, with no interpolation; if even
   the smallest score overshoots the target, the reported operating point
   accepts nothing (FAR 0, GAR 0);
-* :func:`mean_inter_class_distance` accumulates left to right over gallery
-  entries (outer) and probes (inner), skipping same-subject pairs, then
-  divides once by the pair count; the sum is sequential (``np.cumsum``
-  carried across row blocks), never numpy's pairwise ``np.sum``;
+* :func:`mean_inter_class_distance` sums left to right over gallery entries
+  (outer) and probes (inner), skipping same-subject pairs, with
+  :func:`sclmetric.losses.ordered_sum` carried across row blocks (never
+  numpy's pairwise ``np.sum``), then divides once by the pair count;
 * aggregate mean and std (population, ddof 0) are computed by the same
   sequential-sum rule.
 
@@ -49,6 +49,7 @@ reproduces that repetition's protocol result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 
@@ -57,7 +58,7 @@ import numpy as np
 from . import mining, model, training
 from .dataset import Dataset, GalleryProbePartition, Sample, SplitSpec, Subclass, gallery_probe_partition, subject_split
 from .errors import ConfigError, DataError, DimensionMismatchError, ProtocolError
-from .losses import squared_distances
+from .losses import ordered_sum, squared_distances
 
 # Distance blocks hold at most this many float64 entries (1 MiB); larger
 # cross blocks are computed a slice of rows at a time.
@@ -134,8 +135,11 @@ class EvalConfig:
     verification_pairs: int = 50
 
     def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-        object.__setattr__(self, "target_fars", tuple(self.target_fars))
+        ranks = tuple(self.ranks)
+        if not all(isinstance(k, numbers.Integral) for k in ranks):
+            raise ConfigError(f"ranks must be integers, got {ranks}")
+        object.__setattr__(self, "ranks", tuple(map(int, ranks)))
+        object.__setattr__(self, "target_fars", tuple(map(float, self.target_fars)))
         if not self.ranks or any(k < 1 for k in self.ranks):
             raise ConfigError(f"ranks must be nonempty and each >= 1, got {self.ranks}")
         if not all(0.0 < far <= 1.0 for far in self.target_fars):
@@ -347,7 +351,7 @@ def _inter_class_mean(gallery_sids, gallery_emb, probe_sids, probe_emb, normaliz
     count = 0
     for start, block in _cross_blocks(gallery_emb, probe_emb):
         cross = gallery_sids[start : start + len(block), None] != probe_sids[None, :]
-        total = float(np.cumsum(np.concatenate(([total], block[cross])))[-1])
+        total = ordered_sum(block[cross], total)
         count += int(np.count_nonzero(cross))
     if count == 0:
         raise ProtocolError("inter-class distance needs at least 2 subjects")
@@ -389,18 +393,13 @@ def extend_gallery(partition: GalleryProbePartition, distractors) -> GalleryProb
 
 
 def _sequential_mean(values) -> float:
-    total = 0.0
-    for v in values:
-        total += v
-    return total / len(values)
+    return ordered_sum(values) / len(values)
 
 
 def _sequential_std(values) -> float:
-    mean = _sequential_mean(values)
-    total = 0.0
-    for v in values:
-        total += (v - mean) ** 2
-    return math.sqrt(total / len(values))
+    # float_power calls C pow, as Python's ``(v - mean) ** 2`` does.
+    squares = np.float_power(np.subtract(values, _sequential_mean(values)), 2.0)
+    return math.sqrt(ordered_sum(squares) / len(values))
 
 
 def sample_verification_pairs(ds: Dataset, n_per_label: int, seed: int):

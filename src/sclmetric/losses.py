@@ -109,6 +109,14 @@ def squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return total
 
 
+def ordered_sum(values, start: float = 0.0) -> float:
+    """``start`` plus each entry of ``values`` in turn, with the bits of ``total += v``
+    and no warnings.  ``np.cumsum`` never regroups a sum, while ``np.sum`` is
+    pairwise and Python's ``sum`` is compensated from 3.12."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.cumsum(np.concatenate(([start], np.ravel(values))))[-1])
+
+
 def squared_euclidean(u, v) -> float:
     """Sum of squared coordinate differences, accumulated left to right."""
     return float(squared_distances(_as_vector(u, "u"), _as_vector(v, "v")))

@@ -9,28 +9,27 @@ timestamps.  Richer plotting is intentionally left to the exported CSVs.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 from .evaluation import CmcCurve, EvalReport, VerificationReport, far_gar_sweep
 
 
-def write_json_report(payload: dict, path) -> None:
+def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2))
-        fh.write("\n")
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def write_json_report(payload: dict, path) -> None:
+    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
 
 
 def write_cmc_csv(values, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("rank,cmc\n")
-        for k, v in enumerate(values, start=1):
-            fh.write(f"{k},{repr(float(v))}\n")
+    _write_lines(path, ["rank,cmc", *(f"{k},{float(v)!r}" for k, v in enumerate(values, start=1))])
 
 
 def write_far_gar_csv(report: VerificationReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("threshold,far,gar\n")
-        for threshold, far, gar in far_gar_sweep(report):
-            fh.write(f"{repr(float(threshold))},{repr(float(far))},{repr(float(gar))}\n")
+    rows = (",".join(repr(float(x)) for x in row) for row in far_gar_sweep(report))
+    _write_lines(path, ["threshold,far,gar", *rows])
 
 
 def eval_report_payload(report: EvalReport) -> dict:
@@ -46,28 +45,13 @@ def eval_report_payload(report: EvalReport) -> dict:
         "mean_cmc": list(report.mean_cmc),
         "gar_mean": {repr(t): g for t, g in report.gar_mean.items()},
         "inter_class_mean": report.inter_class_mean,
+        # Rank keys stay strings, which sort_keys orders "1", "10", "5"; int keys would go 1, 5, 10.
         "repetitions": [
             {
-                "repetition": r.repetition,
-                "gallery_size": r.gallery_size,
-                "n_probes": r.n_probes,
+                **asdict(r),
                 "rank_accuracies": {str(k): v for k, v in r.rank_accuracies.items()},
                 "cmc": list(r.cmc.values),
                 "n_unenrolled": r.cmc.n_unenrolled,
-                "mean_inter_class_distance": r.mean_inter_class_distance,
-                "verification": {
-                    "genuine_scores": list(r.verification.genuine_scores),
-                    "imposter_scores": list(r.verification.imposter_scores),
-                    "gar_at_far": [
-                        {
-                            "target_far": e.target_far,
-                            "achieved_far": e.achieved_far,
-                            "gar": e.gar,
-                            "threshold": e.threshold,
-                        }
-                        for e in r.verification.gar_at_far
-                    ],
-                },
             }
             for r in report.repetitions
         ],
@@ -128,9 +112,7 @@ def write_cmc_svg(curve: CmcCurve, path) -> None:
             f'<text x="{_ML - 6}" y="{_fmt(_scale(yv, y_lo, y_hi, _H - _MB, _MT))}" text-anchor="end" font-size="10">{_fmt(yv)}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    _write_lines(path, parts)
 
 
 def write_score_histogram_svg(report: VerificationReport, path) -> None:
@@ -153,10 +135,7 @@ def write_score_histogram_svg(report: VerificationReport, path) -> None:
     top = max(max(g_counts), max(i_counts), 1e-12)
     parts = _svg_frame("Genuine vs imposter score distribution", "distance", "fraction of pairs")
     bar_w = (_W - _ML - _MR) / _HISTOGRAM_BINS
-    for name, series, color, shift in (
-        ("genuine", g_counts, "#1f77b4", 0.0),
-        ("imposter", i_counts, "#d62728", bar_w / 2),
-    ):
+    for series, color, shift in ((g_counts, "#1f77b4", 0.0), (i_counts, "#d62728", bar_w / 2)):
         for k, frac in enumerate(series):
             if frac == 0:
                 continue
@@ -170,6 +149,4 @@ def write_score_histogram_svg(report: VerificationReport, path) -> None:
     parts.append(f'<text x="{_W - _MR - 4}" y="{_MT + 16}" text-anchor="end" font-size="12" fill="#1f77b4">genuine</text>')
     parts.append(f'<text x="{_W - _MR - 4}" y="{_MT + 32}" text-anchor="end" font-size="12" fill="#d62728">imposter</text>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+    _write_lines(path, parts)

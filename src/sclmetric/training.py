@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -139,12 +139,8 @@ class TrainLog:
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("epoch,sum_loss,mean_genuine,mean_imposter,seconds\n")
-            for e in self.entries:
-                fh.write(
-                    f"{e.epoch},{repr(e.sum_loss)},{repr(e.mean_genuine)},"
-                    f"{repr(e.mean_imposter)},{repr(e.seconds)}\n"
-                )
+            fh.write(",".join(f.name for f in fields(EpochStats)) + "\n")
+            fh.writelines(",".join(map(repr, astuple(e))) + "\n" for e in self.entries)
 
 
 def _mine_epoch(ds: Dataset, cfg: TrainConfig, epoch: int):
@@ -190,8 +186,7 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
         seed = derive_seed(cfg.seed, epoch, 3)
         order, sizes = mining.batch_order(len(label0), len(label1), cfg.batch_size, seed)
         units = np.concatenate([label0, label1])[order]
-        sums = {0: 0.0, 1: 0.0}
-        counts = {0: 0, 1: 0}
+        kept = [np.empty(0)]
         end = 0
         for bi, (n0, n1) in enumerate(sizes):
             batch, end = units[end : end + n0 + n1], end + n0 + n1
@@ -201,17 +196,16 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
             slots = embedded.reshape(*batch.shape, -1).transpose(1, 0, 2)
             values, slot_grads = _loss_rows(cfg, batch, labels, slots)
             grads = model.backward(params, trace, np.stack(slot_grads, axis=1).reshape(embedded.shape), freeze)
-            batch_loss = 0.0
-            for value, label in zip(values.tolist(), labels.tolist()):
-                batch_loss += value
-                sums[label] += value
-                counts[label] += 1
+            batch_loss = losses.ordered_sum(values)
+            kept.append(values)
             if not math.isfinite(batch_loss):
                 raise NumericError(
                     f"non-finite loss {batch_loss} at epoch {epoch}, batch {bi} (loss={cfg.loss})"
                 )
             params, adam = adam_step(params, grads, adam, cfg.learning_rate)
-        means = [sums[k] / counts[k] if counts[k] else 0.0 for k in (0, 1)]
+        values, label = np.concatenate(kept), order >= len(label0)
+        sums = [losses.ordered_sum(values[mask]) for mask in (~label, label)]
+        means = [s / n if n else 0.0 for s, n in zip(sums, (len(label0), len(label1)))]
         if cfg.loss == "tl":  # every triplet is label 0: both columns carry the overall mean
             means[1] = means[0]
         entries.append(EpochStats(epoch, sums[0] + sums[1], *means, time.perf_counter() - started))

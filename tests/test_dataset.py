@@ -104,6 +104,16 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError):
             sample.embedding[0] = 99.0
 
+    def test_arrays_cannot_be_made_writable_again(self):
+        ds = generate_synthetic(small_config())
+        source = np.array([1.0, 2.0])
+        sample = Sample(0, Subclass.INJURED, 0, source)
+        source[0] = 1e300  # the sample holds its own copy
+        for arr in (ds.subjects[0].non_injured[0].embedding, ds.counts, sample.embedding):
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                arr.setflags(write=True)
+        assert sample.embedding.tolist() == [1.0, 2.0]
+
 
 class TestCsvRoundTrip:
     def test_round_trip_bit_exact(self, tmp_path):

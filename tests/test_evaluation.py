@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sclmetric import evaluation, model, presets, training
+from sclmetric import evaluation, model, presets, reporting, training
 from sclmetric.dataset import (
     Dataset,
     Sample,
@@ -504,6 +504,23 @@ class TestEvalOptions:
         ds = generate_synthetic(presets.easy_synth_config())
         with pytest.raises(ConfigError, match=r"ranks must be nonempty and each >= 1, got \(0, 1\)"):
             evaluate_model(model.init_model([16, 8], seed=0), ds, ranks=(0, 1), verification_pairs=5)
+
+    def test_numpy_ranks_and_targets_are_stored_as_python_numbers(self, tmp_path):
+        conf = evaluation.EvalConfig(ranks=np.array([1, 2]), target_fars=np.array([0.01, 0.1]))
+        assert [type(k) for k in conf.ranks] == [int, int] and [type(t) for t in conf.target_fars] == [float, float]
+        ds = generate_synthetic(presets.easy_synth_config())
+        report = evaluation.evaluate_repetitions(
+            ds, SplitSpec(seed=0, repetitions=1), [0], lambda rep, train_ds: model.init_model([16, 8], seed=0),
+            conf, distractors=None,
+        )
+        payload = reporting.eval_report_payload(report)
+        assert sorted(payload["gar_mean"]) == ["0.01", "0.1"] and payload["ranks"] == [1, 2]
+        reporting.write_json_report(payload, tmp_path / "report.json")
+
+    @pytest.mark.parametrize("ranks", [(1.5,), (1, 2.0), (np.float64(3.0),)])
+    def test_non_integral_rank_is_rejected(self, ranks):
+        with pytest.raises(ConfigError, match=r"^ranks must be integers, got \("):
+            evaluation.EvalConfig(ranks=ranks)
 
     def test_fields_are_declared_only_in_eval_config(self):
         names = {"ranks", "target_fars", "normalize", "verification_pairs", "normalized"}

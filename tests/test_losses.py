@@ -60,6 +60,39 @@ class TestSquaredEuclidean:
             assert got[index] == reference
 
 
+class TestOrderedSum:
+    SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+               1e308, -1e308, 1e16, -1e16, 1.0, 0.1)
+
+    @staticmethod
+    def loop_sum(values, start=0.0):
+        total = start
+        for v in values:
+            total += v
+        return total
+
+    def test_matches_the_sequential_loop_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            n = int(rng.integers(0, 40))
+            scales = 10.0 ** rng.integers(-320, 300, size=n)
+            values = rng.normal(size=n) * scales
+            special = rng.random(n) < 0.4
+            values[special] = rng.choice(self.SPECIAL, size=int(special.sum()))
+            start = float(rng.choice(self.SPECIAL)) if trial % 2 else 0.0
+            expected = self.loop_sum(values.tolist(), start)
+            got = losses.ordered_sum(values, start)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), (trial, values, start)
+
+    def test_never_regroups(self):
+        values = [1e16, 1.0, -1e16, 1.0]
+        assert losses.ordered_sum(values) == self.loop_sum(values) == 1.0
+        assert losses.ordered_sum(values) != math.fsum(values)
+        assert losses.ordered_sum(np.reshape(values, (2, 2)), 1.0) == self.loop_sum(values, 1.0) == 1.0
+        assert losses.ordered_sum([]) == 0.0 and losses.ordered_sum([], -0.5) == -0.5
+
+
 class TestIntraLoss:
     def test_coincident_inputs_zero(self):
         v = np.array([1.0, -2.0, 0.5])

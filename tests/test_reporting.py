@@ -1,11 +1,15 @@
 """Deterministic report/curve/SVG emission."""
 
 import json
+from dataclasses import replace
 
-from sclmetric import presets, reporting
+import numpy as np
+import pytest
+
+from sclmetric import evaluation, model, presets, reporting
 from sclmetric.dataset import SplitSpec, generate_synthetic
 from sclmetric.evaluation import CmcCurve, VerificationReport, gar_at_far, repeated_evaluation
-from sclmetric.training import TrainConfig
+from sclmetric.training import EpochStats, TrainConfig, TrainLog
 
 
 def small_report():
@@ -78,3 +82,126 @@ class TestSvg:
         reporting.write_score_histogram_svg(report, path)
         body = path.read_text(encoding="utf-8")
         assert "<rect" in body and "genuine" in body and "imposter" in body
+
+
+class TestOutputBytes:
+    """Every writer's exact bytes on small fixed inputs, the final LF included."""
+
+    def test_cmc_csv(self, tmp_path):
+        reporting.write_cmc_csv((0.5, 0.75, 1.0), tmp_path / "cmc.csv")
+        assert (tmp_path / "cmc.csv").read_bytes() == b"rank,cmc\n1,0.5\n2,0.75\n3,1.0\n"
+
+    def test_far_gar_csv(self, tmp_path):
+        reporting.write_far_gar_csv(VerificationReport((0.1, 0.9), (0.5, 1.0)), tmp_path / "fg.csv")
+        assert (tmp_path / "fg.csv").read_bytes() == (
+            b"threshold,far,gar\n0.1,0.0,0.5\n0.5,0.5,0.5\n0.9,0.5,1.0\n1.0,1.0,1.0\n"
+        )
+
+    def test_train_log_csv(self, tmp_path):
+        log = TrainLog((EpochStats(0, 1.5, 0.25, 0.125, 0.5), EpochStats(1, 0.1 + 0.2, 1e-17, 2.0, 3.0)))
+        log.write_csv(tmp_path / "log.csv")
+        assert (tmp_path / "log.csv").read_bytes() == (
+            b"epoch,sum_loss,mean_genuine,mean_imposter,seconds\n"
+            b"0,1.5,0.25,0.125,0.5\n1,0.30000000000000004,1e-17,2.0,3.0\n"
+        )
+
+    SVG_FRAME = (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" viewBox="0 0 640 480">\n'
+        '<rect width="640" height="480" fill="white"/>\n'
+        '<text x="320.0" y="24" text-anchor="middle" font-size="16">{}</text>\n'
+        '<text x="320.0" y="468" text-anchor="middle" font-size="12">{}</text>\n'
+        '<text x="16" y="240.0" text-anchor="middle" font-size="12" transform="rotate(-90 16 240.0)">{}</text>\n'
+        '<line x1="60" y1="430" x2="620" y2="430" stroke="black"/>\n'
+        '<line x1="60" y1="40" x2="60" y2="430" stroke="black"/>\n'
+    )
+
+    def test_cmc_svg(self, tmp_path):
+        reporting.write_cmc_svg(CmcCurve((0.4, 0.8, 1.0)), tmp_path / "cmc.svg")
+        assert (tmp_path / "cmc.svg").read_bytes() == (
+            self.SVG_FRAME.format("Cumulative match characteristic", "rank", "match rate")
+            + '<polyline fill="none" stroke="#1f77b4" stroke-width="2" points="60,274 340,118 620,40"/>\n'
+            '<text x="616" y="56" text-anchor="end" font-size="12" fill="#1f77b4">cmc</text>\n'
+            '<text x="60" y="446" text-anchor="middle" font-size="10">1</text>\n'
+            '<text x="54" y="430" text-anchor="end" font-size="10">0</text>\n'
+            '<text x="340" y="446" text-anchor="middle" font-size="10">2</text>\n'
+            '<text x="54" y="235" text-anchor="end" font-size="10">0.5</text>\n'
+            '<text x="620" y="446" text-anchor="middle" font-size="10">3</text>\n'
+            '<text x="54" y="40" text-anchor="end" font-size="10">1</text>\n'
+            "</svg>\n"
+        ).encode()
+
+    def test_score_histogram_svg(self, tmp_path):
+        report = VerificationReport((0.1, 0.1, 0.3), (0.8, 1.4, 1.4, 1.4))
+        reporting.write_score_histogram_svg(report, tmp_path / "scores.svg")
+        assert (tmp_path / "scores.svg").read_bytes() == (
+            self.SVG_FRAME.format("Genuine vs imposter score distribution", "distance", "fraction of pairs")
+            + '<rect x="60" y="83.3333" width="14" height="346.667" fill="#1f77b4" fill-opacity="0.6"/>\n'
+            '<rect x="144" y="256.667" width="14" height="173.333" fill="#1f77b4" fill-opacity="0.6"/>\n'
+            '<rect x="354" y="300" width="14" height="130" fill="#d62728" fill-opacity="0.6"/>\n'
+            '<rect x="606" y="40" width="14" height="390" fill="#d62728" fill-opacity="0.6"/>\n'
+            '<text x="616" y="56" text-anchor="end" font-size="12" fill="#1f77b4">genuine</text>\n'
+            '<text x="616" y="72" text-anchor="end" font-size="12" fill="#d62728">imposter</text>\n'
+            "</svg>\n"
+        ).encode()
+
+
+def hand_payload(report):
+    """The report payload with every field spelled out by hand: the oracle for
+    the payload that :func:`reporting.eval_report_payload` builds from the dataclasses."""
+    return {
+        "flags": {
+            "extended_gallery": report.extended_gallery,
+            "normalized_inter_class_distance": report.normalized,
+        },
+        "ranks": list(report.ranks),
+        "rank_mean": {str(k): report.rank_mean[k] for k in report.ranks},
+        "rank_std": {str(k): report.rank_std[k] for k in report.ranks},
+        "mean_cmc": list(report.mean_cmc),
+        "gar_mean": {repr(t): g for t, g in report.gar_mean.items()},
+        "inter_class_mean": report.inter_class_mean,
+        "repetitions": [
+            {
+                "repetition": r.repetition,
+                "gallery_size": r.gallery_size,
+                "n_probes": r.n_probes,
+                "rank_accuracies": {str(k): v for k, v in r.rank_accuracies.items()},
+                "cmc": list(r.cmc.values),
+                "n_unenrolled": r.cmc.n_unenrolled,
+                "mean_inter_class_distance": r.mean_inter_class_distance,
+                "verification": {
+                    "genuine_scores": list(r.verification.genuine_scores),
+                    "imposter_scores": list(r.verification.imposter_scores),
+                    "gar_at_far": [
+                        {
+                            "target_far": e.target_far,
+                            "achieved_far": e.achieved_far,
+                            "gar": e.gar,
+                            "threshold": e.threshold,
+                        }
+                        for e in r.verification.gar_at_far
+                    ],
+                },
+            }
+            for r in report.repetitions
+        ],
+    }
+
+
+@pytest.mark.parametrize("repetitions", [1, 5])
+@pytest.mark.parametrize("extended", [False, True])
+@pytest.mark.parametrize("unenrolled", [0, 3])
+def test_payload_matches_the_hand_written_oracle(repetitions, extended, unenrolled):
+    ds = generate_synthetic(replace(presets.easy_synth_config(), n_subjects=40))  # 12 test subjects
+    m = model.init_model([ds.dimension, 8], seed=0)
+    distractors = [(1000 + k, np.random.default_rng(k).normal(size=ds.dimension)) for k in range(10)]
+    report = evaluation.evaluate_repetitions(
+        ds, SplitSpec(seed=0, repetitions=repetitions), range(repetitions), lambda rep, train_ds: m,
+        evaluation.EvalConfig(ranks=(1, 5, 10), verification_pairs=5), distractors=distractors if extended else None,
+    )
+    if unenrolled:  # the protocol's partition enrolls every probe subject, so count some as unenrolled here
+        report = replace(report, repetitions=tuple(
+            replace(r, cmc=CmcCurve(r.cmc.values, unenrolled)) for r in report.repetitions
+        ))
+    assert report.ranks == (1, 5, 10) and len(report.repetitions) == repetitions
+    got, expected = reporting.eval_report_payload(report), hand_payload(report)
+    assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(expected, sort_keys=True, indent=2)
