@@ -290,27 +290,20 @@ COMPARE_ORDER = ("cl", "tl", "scl")
 def cmd_compare(args, cfg: dict, conf: dict, out: Path) -> int:
     ds = _load_dataset(args.dataset)
 
-    table = {}
-    for loss in COMPARE_ORDER:
-        report = evaluation.repeated_evaluation(
-            ds, conf["split"], replace(conf["train"], loss=loss), **asdict(conf["eval"])
-        )
-        table[loss] = reporting.eval_report_payload(report)
-
+    reports = {
+        loss: evaluation.repeated_evaluation(ds, conf["split"], replace(conf["train"], loss=loss), **asdict(conf["eval"]))
+        for loss in COMPARE_ORDER
+    }
+    table = {loss: reporting.eval_report_payload(report) for loss, report in reports.items()}
     payload = {"config": cfg, "dataset": str(args.dataset), "losses": table}
     report_path = out / "compare_report.json"
     reporting.write_json_report(payload, report_path)
 
-    ranks = table[COMPARE_ORDER[0]]["ranks"]
+    ranks = reports[COMPARE_ORDER[0]].ranks
     header = "loss | " + " | ".join(f"rank-{k} mean+-std" for k in ranks)
-    print(header)
-    print("-" * len(header))
-    for loss in COMPARE_ORDER:
-        cells = " | ".join(
-            f"{table[loss]['rank_mean'][str(k)]:.4f}+-{table[loss]['rank_std'][str(k)]:.4f}"
-            for k in ranks
-        )
-        print(f"{loss.upper():4} | {cells}")
+    print(header, "-" * len(header), sep="\n")
+    for loss, report in reports.items():
+        print(f"{loss.upper():4} | " + " | ".join(f"{report.rank_mean[k]:.4f}+-{report.rank_std[k]:.4f}" for k in ranks))
     print(f"wrote {report_path}")
     return 0
 

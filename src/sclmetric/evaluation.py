@@ -13,7 +13,7 @@ float64 accumulation over the feature axis, the rule of
 gallery) block for identification, the (gallery, probe) block for the
 inter-class statistic, the paired rows of verification, and the row norms
 of normalization, computing large blocks a fixed number of rows at a time.
-Each sample list is embedded by one row-batched :func:`sclmetric.model.forward`.
+Each sample list is embedded by :func:`sclmetric.model.forward` in 512-row chunks.
 
 Deterministic tie/ordering contracts (tests hold independent scalar
 implementations to them bit-exactly):
@@ -34,8 +34,8 @@ implementations to them bit-exactly):
   (outer) and probes (inner), skipping same-subject pairs, with
   :func:`sclmetric.losses.ordered_sum` carried across row blocks (never
   numpy's pairwise ``np.sum``), then divides once by the pair count;
-* aggregate mean and std (population, ddof 0) are computed by the same
-  sequential-sum rule.
+* aggregate means and stds (population, ddof 0) come from the left-to-right
+  column sums of :func:`sclmetric.losses.ordered_sum` over repetitions.
 
 :func:`repeated_evaluation` runs the full protocol: per repetition a
 subject-disjoint 70/30 split, training on the train side, then
@@ -266,9 +266,7 @@ def cmc_curve(rankings) -> CmcCurve:
 def _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids) -> CmcCurve:
     """The CMC of every probe against the gallery, ranks counted per block."""
     if len(probe_emb) == 0:
-        raise ProtocolError("cmc_curve needs at least one probe ranking")
-    if len(gallery_emb) == 0:
-        raise ProtocolError("identify needs a nonempty gallery")
+        raise ProtocolError("no test subject has both intact and injured samples, so there is no probe")
     ranks = []
     for start, block in _cross_blocks(probe_emb, gallery_emb):
         subjects, d = _subject_minimum(block, gallery_sids)
@@ -392,16 +390,6 @@ def extend_gallery(partition: GalleryProbePartition, distractors) -> GalleryProb
     return replace(partition, gallery=partition.gallery + tuple(extra))
 
 
-def _sequential_mean(values) -> float:
-    return ordered_sum(values) / len(values)
-
-
-def _sequential_std(values) -> float:
-    # float_power calls C pow, as Python's ``(v - mean) ** 2`` does.
-    squares = np.float_power(np.subtract(values, _sequential_mean(values)), 2.0)
-    return math.sqrt(ordered_sum(squares) / len(values))
-
-
 def sample_verification_pairs(ds: Dataset, n_per_label: int, seed: int):
     """Uniformly sample a balanced verification pair list (n genuine +
     n imposter), mining with replacement so small test sets still fill up."""
@@ -465,33 +453,34 @@ def evaluate_model(
     )
 
 
+def _column_stats(rows):
+    """The column means and population stds (ddof 0) of a (repetition x value) table."""
+    table = np.array(rows, dtype=np.float64)
+    mean = ordered_sum(table, axis=0) / len(table)
+    # float_power calls C pow, as Python's ``(v - mean) ** 2`` does.
+    std = np.sqrt(ordered_sum(np.float_power(table - mean, 2.0), axis=0) / len(table))
+    return mean.tolist(), std.tolist()
+
+
 def aggregate_results(results, conf: EvalConfig, *, extended_gallery: bool = False) -> EvalReport:
     """Mean/std aggregation of repetition results (population std, ddof 0)."""
     results = tuple(results)
     if not results:
         raise ProtocolError("nothing to aggregate")
-    usable_ranks = tuple(k for k in conf.ranks if all(k in r.rank_accuracies for r in results))
-    rank_mean = {k: _sequential_mean([r.rank_accuracies[k] for r in results]) for k in usable_ranks}
-    rank_std = {k: _sequential_std([r.rank_accuracies[k] for r in results]) for k in usable_ranks}
+    ranks = tuple(k for k in conf.ranks if all(k in r.rank_accuracies for r in results))
     min_len = min(len(r.cmc.values) for r in results)
-    mean_cmc = tuple(
-        _sequential_mean([r.cmc.values[k] for r in results]) for k in range(min_len)
-    )
     targets = [e.target_far for e in results[0].verification.gar_at_far]
-    gar_mean = {
-        t: _sequential_mean(
-            [r.verification.gar_at_far[i].gar for r in results]
-        )
-        for i, t in enumerate(targets)
-    }
-    icd_mean = _sequential_mean([r.mean_inter_class_distance for r in results])
+    rank_mean, rank_std = _column_stats([[r.rank_accuracies[k] for k in ranks] for r in results])
+    mean_cmc, _ = _column_stats([r.cmc.values[:min_len] for r in results])
+    gar_mean, _ = _column_stats([[e.gar for e in r.verification.gar_at_far] for r in results])
+    (icd_mean,), _ = _column_stats([[r.mean_inter_class_distance] for r in results])
     return EvalReport(
         repetitions=results,
-        ranks=usable_ranks,
-        rank_mean=rank_mean,
-        rank_std=rank_std,
-        mean_cmc=mean_cmc,
-        gar_mean=gar_mean,
+        ranks=ranks,
+        rank_mean=dict(zip(ranks, rank_mean)),
+        rank_std=dict(zip(ranks, rank_std)),
+        mean_cmc=tuple(mean_cmc),
+        gar_mean=dict(zip(targets, gar_mean)),
         inter_class_mean=icd_mean,
         extended_gallery=extended_gallery,
         normalized=conf.normalize,

@@ -109,12 +109,15 @@ def squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return total
 
 
-def ordered_sum(values, start: float = 0.0) -> float:
+def ordered_sum(values, start: float = 0.0, axis=None):
     """``start`` plus each entry of ``values`` in turn, with the bits of ``total += v``
-    and no warnings.  ``np.cumsum`` never regroups a sum, while ``np.sum`` is
+    but for a NaN's sign and payload, and no warnings; ``axis=0`` gives each column's
+    sum of a 2-D table.  ``np.cumsum`` never regroups a sum, while ``np.sum`` is
     pairwise and Python's ``sum`` is compensated from 3.12."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.cumsum(np.concatenate(([start], np.ravel(values))))[-1])
+        if axis is None:
+            return float(np.cumsum(np.concatenate(([start], np.ravel(values))))[-1])
+        return np.cumsum(np.vstack((np.full(np.shape(values)[1], start), values)), axis=0)[-1]
 
 
 def squared_euclidean(u, v) -> float:

@@ -9,7 +9,6 @@ timestamps.  Richer plotting is intentionally left to the exported CSVs.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from .evaluation import CmcCurve, EvalReport, VerificationReport, far_gar_sweep
 
@@ -48,10 +47,11 @@ def eval_report_payload(report: EvalReport) -> dict:
         # Rank keys stay strings, which sort_keys orders "1", "10", "5"; int keys would go 1, 5, 10.
         "repetitions": [
             {
-                **asdict(r),
+                **vars(r),
                 "rank_accuracies": {str(k): v for k, v in r.rank_accuracies.items()},
                 "cmc": list(r.cmc.values),
                 "n_unenrolled": r.cmc.n_unenrolled,
+                "verification": {**vars(r.verification), "gar_at_far": [dict(vars(e)) for e in r.verification.gar_at_far]},
             }
             for r in report.repetitions
         ],

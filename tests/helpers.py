@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracles and parameter flattening.
+"""Shared test utilities: finite-difference oracles, the sequential-sum
+reference, and parameter flattening.
 
 The central-difference gradient check is the independent oracle backing
 every analytic-gradient assertion in the suite.  All loss values here are
@@ -14,6 +15,15 @@ import numpy as np
 from sclmetric import model
 
 FD_STEP = 1e-5
+
+
+def loop_sum(values, start=0.0):
+    """``start`` plus each value in turn: the left-to-right float reference.
+    (Python's ``sum`` of floats is compensated from 3.12, so it is not one.)"""
+    total = start
+    for v in values:
+        total += v
+    return total
 
 
 def central_difference(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:

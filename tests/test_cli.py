@@ -230,6 +230,22 @@ class TestEval:
         assert rc == 3
         assert capsys.readouterr().err == f"data error: no usable distractor subjects in {distractors}\n"
 
+    def test_no_test_subject_with_both_subclasses_exit_3(self, tmp_path, capsys):
+        # Three subjects with injured samples only: the test side has no probe.
+        lines = ["subject_id,subclass,sample_index,f0,f1,f2"]
+        lines += [f"{sid},I,{k},{sid}.0,{k}.5,1.0" for sid in range(3) for k in range(2)]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ckpt = tmp_path / "init.ckpt"
+        model.save_checkpoint(model.init_model([3, 4], seed=0), {}, ckpt)
+        capsys.readouterr()
+        with pytest.warns(UserWarning, match="partition dropped subjects"):
+            rc = main(["eval", str(ckpt), str(data), "--repetitions", "2", "--out", str(tmp_path / "x")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "data error: no test subject has both intact and injured samples, so there is no probe\n"
+        )
+
     def test_requested_ranks_all_reported_on_large_gallery(self, tmp_path):
         # 34 subjects -> 70/30 split leaves a 10-subject test gallery, so the
         # default rank set {1, 5, 10} fits exactly

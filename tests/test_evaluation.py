@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sclmetric import evaluation, model, presets, reporting, training
+from sclmetric import evaluation, losses, model, presets, reporting, training
 from sclmetric.dataset import (
     Dataset,
     Sample,
@@ -27,6 +27,7 @@ from sclmetric.dataset import (
 from sclmetric.errors import ConfigError, DataError, ProtocolError
 from sclmetric.evaluation import (
     CmcCurve,
+    GarFarEntry,
     VerificationReport,
     cmc_curve,
     evaluate_model,
@@ -40,6 +41,8 @@ from sclmetric.evaluation import (
     verification_scores,
 )
 from sclmetric.mining import ContrastivePair
+
+from helpers import loop_sum
 
 
 # --- independent oracles -----------------------------------------------------
@@ -327,7 +330,7 @@ class TestMeanInterClassDistance:
         probes = [(int(rng.integers(4)), rng.normal(size=4)) for _ in range(8)]
 
         def unit(v):
-            norm = math.sqrt(sum(x * x for x in list(v)))
+            norm = math.sqrt(loop_sum(x * x for x in list(v)))
             return [x / norm for x in list(v)]
 
         expected = oracle_mean_inter_class(
@@ -478,6 +481,71 @@ class TestRepeatedEvaluation:
         assert report.ranks == (1,)  # test gallery has 3 subjects
 
 
+def sequential_mean(values) -> float:
+    return losses.ordered_sum(values) / len(values)
+
+
+def sequential_std(values) -> float:
+    squares = np.float_power(np.subtract(values, sequential_mean(values)), 2.0)
+    return math.sqrt(losses.ordered_sum(squares) / len(values))
+
+
+def oracle_aggregate(results, conf, extended_gallery):
+    """aggregate_results as one sequential sum per statistic and per key."""
+    ranks = tuple(k for k in conf.ranks if all(k in r.rank_accuracies for r in results))
+    min_len = min(len(r.cmc.values) for r in results)
+    targets = [e.target_far for e in results[0].verification.gar_at_far]
+    return evaluation.EvalReport(
+        repetitions=tuple(results),
+        ranks=ranks,
+        rank_mean={k: sequential_mean([r.rank_accuracies[k] for r in results]) for k in ranks},
+        rank_std={k: sequential_std([r.rank_accuracies[k] for r in results]) for k in ranks},
+        mean_cmc=tuple(sequential_mean([r.cmc.values[k] for r in results]) for k in range(min_len)),
+        gar_mean={t: sequential_mean([r.verification.gar_at_far[i].gar for r in results]) for i, t in enumerate(targets)},
+        inter_class_mean=sequential_mean([r.mean_inter_class_distance for r in results]),
+        extended_gallery=extended_gallery,
+        normalized=conf.normalize,
+    )
+
+
+class TestAggregateResults:
+    @staticmethod
+    def random_results(rng, repetitions, cmc_lengths, targets):
+        results = []
+        for rep, n in zip(range(repetitions), cmc_lengths):
+            values = tuple(np.sort(rng.random(n)).tolist())
+            entries = tuple(GarFarEntry(t, *rng.random(3).tolist()) for t in targets)
+            results.append(evaluation.RepetitionResult(
+                repetition=rep,
+                rank_accuracies={k: values[k - 1] for k in (1, 2, 5, 10) if k <= n},
+                cmc=CmcCurve(values),
+                verification=VerificationReport((), (), entries),
+                mean_inter_class_distance=float(rng.random() * 10.0 ** rng.integers(-3, 4)),
+                gallery_size=n,
+                n_probes=7,
+            ))
+        return results
+
+    @pytest.mark.parametrize("repetitions", [1, 5])
+    @pytest.mark.parametrize("ranks, lengths", [
+        ((1, 2, 5, 10), (12, 12)),  # every rank usable, equal CMCs
+        ((1, 5, 10), (3, 14)),  # CMCs of different lengths: the common prefix, and the ranks all of them reach
+        ((10, 11), (2, 9)),  # ranks beyond the smallest gallery: none usable
+    ])
+    @pytest.mark.parametrize("targets", [(0.01, 0.1), ()])
+    def test_matches_a_sequential_sum_per_statistic_bit_for_bit(self, repetitions, ranks, lengths, targets):
+        rng = np.random.default_rng(repetitions)
+        conf = evaluation.EvalConfig(ranks=ranks, target_fars=targets)
+        for _ in range(30):
+            cmc_lengths = rng.integers(lengths[0], lengths[1] + 1, size=repetitions).tolist()
+            results = self.random_results(rng, repetitions, cmc_lengths, targets)
+            got = evaluation.aggregate_results(results, conf, extended_gallery=True)
+            expected = oracle_aggregate(results, conf, extended_gallery=True)
+            assert repr(got) == repr(expected)  # repr keeps every float bit and the key order
+            numbers = [*got.rank_mean.values(), *got.rank_std.values(), *got.mean_cmc, *got.gar_mean.values()]
+            assert all(type(v) is float for v in [*numbers, got.inter_class_mean])
+
+
 class TestEvaluateModel:
     def test_distractors_flag_and_gallery_growth(self):
         ds = generate_synthetic(presets.easy_synth_config())
@@ -532,7 +600,7 @@ class TestEvalOptions:
 
 
 def oracle_unit(v):
-    norm = math.sqrt(sum(x * x for x in list(v)))
+    norm = math.sqrt(loop_sum(x * x for x in list(v)))
     return [x / norm for x in list(v)] if norm > 0.0 else list(v)
 
 

@@ -205,3 +205,22 @@ def test_payload_matches_the_hand_written_oracle(repetitions, extended, unenroll
     assert report.ranks == (1, 5, 10) and len(report.repetitions) == repetitions
     got, expected = reporting.eval_report_payload(report), hand_payload(report)
     assert json.dumps(got, sort_keys=True, indent=2) == json.dumps(expected, sort_keys=True, indent=2)
+
+
+def test_editing_the_payload_leaves_the_report_unchanged():
+    ds = generate_synthetic(replace(presets.easy_synth_config(), n_subjects=20))
+    m = model.init_model([ds.dimension, 8], seed=0)
+    report = evaluation.evaluate_repetitions(
+        ds, SplitSpec(seed=0, repetitions=2), range(2), lambda rep, train_ds: m,
+        evaluation.EvalConfig(ranks=(1, 2), verification_pairs=5),
+    )
+    before = repr(report)
+    payload = reporting.eval_report_payload(report)
+    rep = payload["repetitions"][0]
+    rep["verification"]["gar_at_far"][0]["gar"] = -1.0
+    rep["verification"]["genuine_scores"] = ()
+    rep["rank_accuracies"]["1"] = -1.0
+    rep["repetition"] = -1
+    payload["rank_mean"]["1"] = -1.0
+    payload["mean_cmc"].append(-1.0)
+    assert repr(report) == before
