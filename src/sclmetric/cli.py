@@ -3,7 +3,8 @@
 Behavior is driven by a JSON config file plus flag overrides (flags win).
 Every command is deterministic given (config, inputs), and every report
 embeds the fully resolved config and seed.  Exit codes: 0 ok, 2 config
-error, 3 data error, 4 numeric failure.
+error, 3 data error, 4 numeric failure.  Library warnings go to stderr as
+one ``warning: <message>`` line each.
 
 The config sections ``synth``, ``split``, ``train`` and ``eval`` are
 exactly the fields of :class:`~sclmetric.dataset.SynthConfig`,
@@ -363,8 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Library warnings print as one line each while the command runs.  Only the
+    # format changes, so warnings.catch_warnings(record=True) still records them.
+    default_format, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         cfg, conf = _resolve_config(args)
         return args.func(args, cfg, conf, _out_dir(args))
@@ -380,6 +388,8 @@ def main(argv=None) -> int:
     except SclMetricError as exc:  # anything else from the library
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

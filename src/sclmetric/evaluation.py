@@ -3,8 +3,9 @@
 Matching uses the plain (non-squared) Euclidean distance; since training
 distances are squared, rankings are identical either way (the square root
 is monotone).  Galleries are sequences of ``(subject_id, embedding)``
-pairs; when a subject has several gallery images its distance to a probe
-is the minimum over them.
+pairs.  The protocol's gallery holds one image per subject and enrolls
+every probe's subject; only :func:`identify` takes several images of a
+subject, and reduces them to their minimum distance.
 
 Every distance comes from one matrix kernel, :func:`_distances`, the
 square root of :func:`sclmetric.losses.squared_distances` (left-to-right
@@ -18,9 +19,8 @@ Each sample list is embedded by :func:`sclmetric.model.forward` in 512-row chunk
 Deterministic tie/ordering contracts (tests hold independent scalar
 implementations to them bit-exactly):
 
-* :func:`identify` sorts subjects by (distance, subject_id) ascending; a
-  probe's rank is ``#{d < d_true} + #{d == d_true and sid < sid_true}``
-  over its per-subject minimum distances, so ranks are counted without
+* subjects rank by (distance, subject_id) ascending; a probe's rank is
+  ``#{d < d_true} + #{d == d_true and sid < sid_true}``, counted without
   sorting;
 * CMC values and accept rates are plain ``count / n`` fractions;
 * FAR and GAR at a threshold are counts of scores ``<=`` it, read off the
@@ -208,17 +208,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
 
 
-def _subject_minimum(d: np.ndarray, sids: np.ndarray):
-    """Reduce distance columns to one per subject by minimum.
-
-    Returns the ascending distinct subject ids and the reduced block.
-    """
-    order = np.argsort(sids, kind="stable")
-    sorted_sids = sids[order]
-    starts = _run_starts(sorted_sids)
-    return sorted_sids[starts], np.minimum.reduceat(d[:, order], starts, axis=1)
-
-
 def identify(probe_embedding, gallery) -> list[int]:
     """Rank gallery subjects by ascending distance to the probe.
 
@@ -230,9 +219,11 @@ def identify(probe_embedding, gallery) -> list[int]:
     if not gallery:
         raise ProtocolError("identify needs a nonempty gallery")
     sids = np.array([sid for sid, _ in gallery])
-    d = _distances(_matrix([probe_embedding])[:, None, :], _matrix([emb for _, emb in gallery])[None])
-    subjects, d = _subject_minimum(d, sids)
-    return subjects[np.lexsort((subjects, d[0]))].tolist()
+    order = np.argsort(sids, kind="stable")
+    starts = _run_starts(sids[order])
+    d = _distances(_matrix([probe_embedding]), _matrix([emb for _, emb in gallery])[order])
+    subjects, d = sids[order][starts], np.minimum.reduceat(d, starts)
+    return subjects[np.lexsort((subjects, d))].tolist()
 
 
 def _curve(hits, n: int, unenrolled: int) -> CmcCurve:
@@ -264,22 +255,20 @@ def cmc_curve(rankings) -> CmcCurve:
 
 
 def _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids) -> CmcCurve:
-    """The CMC of every probe against the gallery, ranks counted per block."""
+    """The CMC of every probe, ranks counted per block, against a gallery that
+    holds one image per subject and enrolls every probe's subject."""
     if len(probe_emb) == 0:
         raise ProtocolError("no test subject has both intact and injured samples, so there is no probe")
+    order = np.argsort(gallery_sids)
+    true_col = np.searchsorted(gallery_sids[order], probe_sids)[:, None]
+    columns = np.arange(len(order))
     ranks = []
-    for start, block in _cross_blocks(probe_emb, gallery_emb):
-        subjects, d = _subject_minimum(block, gallery_sids)
-        sids = probe_sids[start : start + len(d)]
-        col = np.minimum(np.searchsorted(subjects, sids), len(subjects) - 1)
-        enrolled = subjects[col] == sids
-        d, col = d[enrolled], col[enrolled]
-        d_true = d[np.arange(len(d)), col][:, None]
-        before = np.arange(len(subjects))[None, :] < col[:, None]
-        ranks.append(np.count_nonzero((d < d_true) | ((d == d_true) & before), axis=1))
-    ranks = np.concatenate(ranks)
-    hits = np.bincount(ranks, minlength=len(subjects)).tolist()
-    return _curve(hits, len(probe_emb), len(probe_emb) - len(ranks))
+    for start, d in _cross_blocks(probe_emb, gallery_emb[order]):
+        col = true_col[start : start + len(d)]
+        d_true = np.take_along_axis(d, col, axis=1)
+        ranks.append(np.count_nonzero((d < d_true) | ((d == d_true) & (columns < col)), axis=1))
+    hits = np.bincount(np.concatenate(ranks), minlength=len(order)).tolist()
+    return _curve(hits, len(probe_emb), 0)
 
 
 def rank_k_accuracy(curve: CmcCurve, k: int) -> float:

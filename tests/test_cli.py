@@ -1,7 +1,10 @@
 """CLI subcommands: files produced, exit codes, determinism, composition."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 
 from sclmetric import model
 from sclmetric.cli import main
-from sclmetric.dataset import load_embeddings
+from sclmetric.dataset import SplitSpec, load_embeddings, subject_split
 
 SMALL_SYNTH = {
     "n_subjects": 8,
@@ -39,6 +42,16 @@ def write_config(tmp_path, **sections):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return str(path)
+
+
+def run_cli(args, cwd, **env):
+    """Run ``sclmetric`` in a fresh interpreter in ``cwd``, with extra environment variables."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sclmetric.cli", *args],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path, **env}, capture_output=True, text=True,
+    )
 
 
 @pytest.fixture
@@ -246,6 +259,24 @@ class TestEval:
             "data error: no test subject has both intact and injured samples, so there is no probe\n"
         )
 
+    def test_library_warning_prints_as_one_line(self, tmp_path):
+        # Ten subjects with two intact and two injured samples each; one subject
+        # on repetition 0's test side then loses its injured rows.
+        lines = ["subject_id,subclass,sample_index,f0,f1,f2"]
+        lines += [f"{sid},{sc},{k},{sid}.0,{k}.5,{i}.0" for sid in range(10) for i, sc in enumerate("NI") for k in (0, 1)]
+        (tmp_path / "full.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, test_ds = subject_split(load_embeddings(tmp_path / "full.csv"), SplitSpec(3), 0)
+        victim = test_ds.subject_ids[0]
+        cut = [line for line in lines if not line.startswith(f"{victim},I,")]
+        (tmp_path / "cut.csv").write_text("\n".join(cut) + "\n", encoding="utf-8")
+        model.save_checkpoint(model.init_model([3, 4], seed=0), {}, tmp_path / "init.ckpt")
+        done = run_cli(["eval", "init.ckpt", "cut.csv", "--seed", "3", "--repetition", "0", "--out", "e"], tmp_path)
+        assert (done.returncode, done.stderr) == (
+            0,
+            f"warning: gallery/probe partition dropped subjects: [({victim}, 'no injured samples')]\n"
+            f"warning: contrastive-pair mining skipped subjects: [({victim}, 'missing a subclass')]\n",
+        )
+
     def test_requested_ranks_all_reported_on_large_gallery(self, tmp_path):
         # 34 subjects -> 70/30 split leaves a 10-subject test gallery, so the
         # default rank set {1, 5, 10} fits exactly
@@ -384,6 +415,39 @@ class TestCompare:
                 composed = single["repetitions"][0]["rank_accuracies"]["1"]
                 monolith = compare["losses"][loss]["repetitions"][rep]["rank_accuracies"]["1"]
                 assert composed == monolith
+
+
+class TestBlasThreads:
+    def test_outputs_are_byte_identical_at_1_and_4_blas_threads(self, tmp_path):
+        # 128-d inputs into a 256-wide layer, so that the layer products are
+        # large enough for a threaded BLAS to split.
+        cfg = write_config(
+            tmp_path,
+            synth={"n_subjects": 10, "dim": 128},
+            train={"hidden_dims": [256, 32]},
+            split={"repetitions": 2},
+        )
+        outputs = {}
+        for threads in ("1", "4"):
+            run = tmp_path / f"threads_{threads}"
+            run.mkdir()
+            (run / "config.json").write_bytes(Path(cfg).read_bytes())
+            # The same relative paths in every run, since reports embed them.
+            for args in (
+                ["synth", "--out", "synth"],
+                ["train", "synth/dataset.csv", "--repetition", "0", "--out", "train"],
+                ["eval", "train/checkpoint.ckpt", "synth/dataset.csv", "--repetition", "0", "--out", "eval"],
+                ["compare", "synth/dataset.csv", "--out", "compare"],
+            ):
+                done = run_cli([*args, "--config", "config.json", "--seed", "5"], run, OPENBLAS_NUM_THREADS=threads)
+                assert done.returncode == 0, done.stderr
+            files = {str(p.relative_to(run)): p.read_bytes() for p in run.rglob("*") if p.is_file()}
+            # The train log's last column is wall-clock seconds.
+            log = files.pop("train/train_log.csv").decode("utf-8").splitlines()
+            outputs[threads] = files, [line.rsplit(",", 1)[0] for line in log]
+        (files_1, log_1), (files_4, log_4) = outputs["1"], outputs["4"]
+        assert files_1.keys() == files_4.keys() and log_1 == log_4
+        assert [name for name in files_1 if files_1[name] != files_4[name]] == []
 
 
 DEFAULT_CONFIG_SEED_3 = {

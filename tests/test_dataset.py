@@ -1,5 +1,7 @@
 """Dataset model, synthetic generator, CSV round trip, and split protocol."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from sclmetric import dataset as dd
 from sclmetric.dataset import (
     Dataset,
+    GalleryProbePartition,
     Sample,
     SplitSpec,
     Subclass,
@@ -341,6 +344,33 @@ class TestGalleryProbePartition:
 
 
 class TestDatasetInvariants:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: _sample(-1, Subclass.INJURED, 0, [1.0]), "subject_id and sample_index must be non-negative"),
+            (lambda: _sample(0, Subclass.INJURED, 0, [[1.0, 2.0]]), "embedding must be a 1-d vector, got shape (1, 2)"),
+            (lambda: Dataset(1, ()).subject(7), "no subject 7 in dataset"),
+            (
+                lambda: GalleryProbePartition(
+                    (_sample(0, Subclass.NON_INJURED, 0, [1.0]), _sample(0, Subclass.NON_INJURED, 1, [2.0])), (), True
+                ),
+                "single-image gallery contains a repeated subject",
+            ),
+            (
+                lambda: GalleryProbePartition((_sample(0, Subclass.INJURED, 0, [1.0]),), (), False),
+                "gallery sample (0, 'I', 0) is not non-injured",
+            ),
+            (
+                lambda: GalleryProbePartition((), (_sample(0, Subclass.NON_INJURED, 0, [1.0]),), False),
+                "probe sample (0, 'N', 0) is not injured",
+            ),
+        ],
+        ids=["negative-id", "2d-embedding", "missing-subject", "repeated-subject", "injured-gallery", "intact-probe"],
+    )
+    def test_documented_errors(self, build, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build()
+
     def test_duplicate_subject_rejected(self):
         r = SubjectRecord(0, (), (_sample(0, Subclass.INJURED, 0, [1.0]),))
         with pytest.raises(DataError):

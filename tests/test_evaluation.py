@@ -8,6 +8,7 @@ reproduces bit-for-bit, so every comparison below is exact (no tolerance).
 
 import inspect
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from sclmetric.dataset import (
     generate_synthetic,
     gallery_probe_partition,
 )
-from sclmetric.errors import ConfigError, DataError, ProtocolError
+from sclmetric.errors import ConfigError, DataError, DimensionMismatchError, ProtocolError
 from sclmetric.evaluation import (
     CmcCurve,
     GarFarEntry,
@@ -387,6 +388,50 @@ class TestExtendGallery:
         base_r1 = cmc_curve(base_rankings).values[0]
         ext_r1 = cmc_curve(ext_rankings).values[0]
         assert ext_r1 <= base_r1
+
+
+class TestDocumentedErrors:
+    @staticmethod
+    def intact_only():
+        return Dataset(1, (SubjectRecord(0, (Sample(0, Subclass.NON_INJURED, 0, [1.0]),), ()),))
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: CmcCurve(()), ProtocolError, "CMC curve needs at least rank 1"),
+            (
+                lambda: identify(np.zeros(2), [(0, np.zeros(2)), (1, np.zeros(3))]),
+                DimensionMismatchError,
+                "embeddings differ in shape: [(2,), (3,)]",
+            ),
+            (lambda: cmc_curve([]), ProtocolError, "cmc_curve needs at least one probe ranking"),
+            (lambda: cmc_curve([(0, [0, 1]), (1, [1])]), ProtocolError, "ranked lists cover differently sized galleries"),
+            (lambda: verification_scores([], None), ProtocolError, "verification needs at least one pair"),
+            (
+                lambda: evaluation.sample_verification_pairs(easy_test_partition()[0], 0, seed=0),
+                ProtocolError,
+                "need at least one verification pair per label",
+            ),
+            (
+                lambda: evaluation.sample_verification_pairs(TestDocumentedErrors.intact_only(), 5, seed=0),
+                ProtocolError,
+                "no subject has both subclasses; cannot build pairs",
+            ),
+            (lambda: evaluation.aggregate_results([], evaluation.EvalConfig()), ProtocolError, "nothing to aggregate"),
+            (
+                lambda: extend_gallery(easy_test_partition()[1], [(1000, np.zeros(16)), (1000, np.ones(16))]),
+                DataError,
+                "distractor subject id 1000 collides with the partition",
+            ),
+        ],
+        ids=[
+            "empty-cmc", "ragged-gallery", "no-rankings", "ragged-rankings", "no-pairs",
+            "zero-pairs-per-label", "no-subject-with-both", "nothing-to-aggregate", "repeated-distractor",
+        ],
+    )
+    def test_message(self, call, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # --- embedding extraction ------------------------------------------------------

@@ -1,6 +1,7 @@
 """Loss values, closed-form identities, and finite-difference gradient checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,6 +315,24 @@ class TestContrastiveLoss:
     def test_rejects_bad_margin(self):
         with pytest.raises(ConfigError):
             losses.contrastive_loss([0.0], [1.0], 0, margin=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: losses.contrastive_loss(np.zeros((1, 2)), np.zeros(2), 0),
+            DimensionMismatchError,
+            "x1 must be a 1-d vector, got shape (1, 2)",
+        ),
+        (lambda: losses.contrastive_loss(np.zeros(2), np.ones(2), 2), ConfigError, "pair label must be 0 or 1, got 2"),
+        (lambda: losses.triplet_loss(*np.eye(3), margin=0), ConfigError, "triplet margin must be > 0, got 0"),
+    ],
+    ids=["2d-vector", "pair-label-2", "triplet-margin-0"],
+)
+def test_documented_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestTripletLoss:

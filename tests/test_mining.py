@@ -1,5 +1,7 @@
 """Set/pair/triplet mining: validity scans, degenerate cases, and batching."""
 
+import re
+
 import pytest
 
 from sclmetric.dataset import Dataset, Sample, Subclass, SubjectRecord, SynthConfig, generate_synthetic
@@ -271,6 +273,32 @@ class TestMakeBatches:
 
 
 class TestUnitInvariants:
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda n0, n1, i0, i1: GenuineSet(i0[0], i0[1], None), "genuine set slot a must be non-injured"),
+            (lambda n0, n1, i0, i1: GenuineSet(n0, n0, None), "genuine set slot b must be injured"),
+            (
+                lambda n0, n1, i0, i1: GenuineSet(n0, i0[0], i1[0]),
+                "genuine set slot c must be an injured sample of the same subject",
+            ),
+            (lambda n0, n1, i0, i1: ImposterSet(i0[0], i1[0], None), "imposter set slot a must be non-injured"),
+            (lambda n0, n1, i0, i1: ImposterSet(n0, n1, None), "imposter set slot b must be injured"),
+            (
+                lambda n0, n1, i0, i1: ImposterSet(n0, i1[0], i1[1]),
+                "imposter set slot c must be an injured sample of subject i",
+            ),
+            (lambda n0, n1, i0, i1: Triplet(i0[0], i0[1], i1[0]), "triplet anchor must be non-injured"),
+            (lambda n0, n1, i0, i1: Triplet(n0, n0, i1[0]), "triplet positive/negative must be injured"),
+            (lambda n0, n1, i0, i1: Triplet(n0, i1[0], i1[1]), "triplet positive must match the anchor's subject"),
+        ],
+    )
+    def test_slot_checks(self, build, message):
+        ds = tiny_dataset(2, 1, 2)
+        s0, s1 = ds.subjects
+        with pytest.raises(MiningError, match=f"^{re.escape(message)}$"):
+            build(s0.non_injured[0], s1.non_injured[0], s0.injured, s1.injured)
+
     def test_genuine_set_rejects_mixed_subjects(self):
         ds = tiny_dataset(2, 1, 2)
         with pytest.raises(MiningError):

@@ -1,5 +1,6 @@
 """Embedding network: init, forward/backward, freezing, and checkpoints."""
 
+import re
 import struct
 
 import numpy as np
@@ -616,6 +617,27 @@ class TestCheckpointErrors:
 
 
 class TestConstructionErrors:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: model.Layer(np.zeros((2, 3)), np.zeros(3), "relu"),
+                "layer shapes inconsistent: weight (2, 3), bias (3,)",
+            ),
+            (lambda: model.Layer(np.zeros((2, 3)), np.zeros(2), "tanh"), "unknown activation 'tanh'"),
+            (lambda: model.ModelParams(()), "model needs at least one layer"),
+            (
+                # The trace of a 3-5-2 network fed to a 3-4-2 one.
+                lambda: backward(init_model([3, 4, 2], 0), forward(init_model([3, 5, 2], 0), np.ones(3))[1], np.ones(2)),
+                "trace shapes do not match model layer shapes",
+            ),
+        ],
+        ids=["layer-shapes", "activation", "no-layers", "trace-of-another-width"],
+    )
+    def test_documented_errors(self, call, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_negative_freeze_mask(self):
         with pytest.raises(ConfigError, match=r"^frozen_layer_count must be >= 0$"):
             FreezeMask(-1)
