@@ -29,9 +29,12 @@ plumbing around it:
 CSV format
 ----------
 Header ``subject_id,subclass,sample_index,f0,f1,...,f{d-1}``; one sample per
-row; ``subclass`` is ``N`` or ``I``; features are decimal float literals
-(``repr`` of the float64 value, so a save/load round trip is bit-exact);
-UTF-8 with LF line endings.
+row; ``subclass`` is ``N`` or ``I``.  Ids and indices accept exactly what
+Python's ``int()`` accepts and must be non-negative; features accept exactly
+what ``float()`` accepts and must be finite.  :func:`save_embeddings` writes
+``repr`` of each float64 value, so a save/load round trip is bit-exact.
+UTF-8 text with LF or CRLF line endings; blank lines are skipped, but still
+counted in the line numbers of errors.
 """
 
 from __future__ import annotations
@@ -154,14 +157,10 @@ class Dataset:
     @classmethod
     def from_samples(cls, dimension: int, samples) -> "Dataset":
         """Group loose samples into a canonical Dataset; :class:`SubjectRecord` rejects duplicates."""
-        by_subject: dict[int, dict[Subclass, list[Sample]]] = {}
+        by_subject: dict[int, tuple[list[Sample], list[Sample]]] = {}
         for s in samples:
-            by_subject.setdefault(s.subject_id, {Subclass.NON_INJURED: [], Subclass.INJURED: []})
-            by_subject[s.subject_id][s.subclass].append(s)
-        records = [
-            SubjectRecord(sid, tuple(groups[Subclass.NON_INJURED]), tuple(groups[Subclass.INJURED]))
-            for sid, groups in by_subject.items()
-        ]
+            by_subject.setdefault(s.subject_id, ([], []))[s.subclass is Subclass.INJURED].append(s)
+        records = [SubjectRecord(sid, tuple(non), tuple(inj)) for sid, (non, inj) in by_subject.items()]
         return cls(dimension, tuple(records))
 
     @property
@@ -321,6 +320,131 @@ def _utf8_lines(fh, path):
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _nul_free(lines):
+    """The lines unchanged; a NUL is a ValueError, since numpy drops a string
+    field's trailing NULs and would read ``N\\0`` as ``N``."""
+    for line in lines:
+        if "\0" in line:
+            raise ValueError("NUL character in the body")
+        yield line
+
+
+def _read_header(lines, path) -> int:
+    """Check the header line and return the feature dimension it declares."""
+    header = next(lines, "")
+    if not header:
+        raise ParseError(f"{path}: line 1: empty file, expected header")
+    fields = header.rstrip("\n").rstrip("\r").split(",")
+    if tuple(fields[:3]) != CSV_FIXED_COLUMNS:
+        raise ParseError(f"{path}: line 1: header must start with {','.join(CSV_FIXED_COLUMNS)}")
+    dim = len(fields) - 3
+    if dim < 1:
+        raise ParseError(f"{path}: line 1: header declares no feature columns")
+    for k, name in enumerate(fields[3:]):
+        if name != f"f{k}":
+            raise ParseError(f"{path}: line 1: feature column {k} must be named f{k}, got {name!r}")
+    return dim
+
+
+def _bulk_columns(lines, dim: int):
+    """The body's columns from one ``np.loadtxt`` pass, checked as a whole.
+
+    Any row the row parser would reject, or that only ``int()``/``float()``
+    read, raises ValueError.  numpy reads a subset of what they accept, to the
+    same values and float bits; ``subclass`` is read as two characters so that
+    ``NI`` fails the N/I check instead of being cut to ``N``.
+    """
+    dtype = np.dtype([("sid", np.int64), ("sub", "U2"), ("idx", np.int64), ("x", np.float64, (dim,))])
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # numpy 1.23 deprecated reading a float literal such as 1.0 into an
+        # integer field; while it only warns, it truncates the value.
+        warnings.simplefilter("error", DeprecationWarning)
+        table = np.loadtxt(_nul_free(lines), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    sid, sub, idx, x = (table[name] for name in dtype.names)
+    injured = sub == "I"
+    if not (injured | (sub == "N")).all() or (sid < 0).any() or (idx < 0).any() or not np.isfinite(x).all():
+        raise ValueError("a row the row parser must judge")
+    return sid, injured, idx, x
+
+
+def _row_columns(lines, dim: int, path):
+    """The body's columns parsed line by line with ``int()`` and ``float()``;
+    the first bad row raises :class:`ParseError` naming its line."""
+    sids: list[int] = []
+    injured: list[bool] = []
+    idxs: list[int] = []
+    rows: list[list[float]] = []
+    seen: set[tuple[int, str, int]] = set()
+    for lineno, line in enumerate(lines, start=2):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 3 + dim:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {3 + dim} fields for dimension {dim}, got {len(parts)}"
+            )
+        try:
+            sid = int(parts[0])
+            idx = int(parts[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: bad integer field ({exc})") from None
+        if parts[1] not in ("N", "I"):
+            raise ParseError(f"{path}: line {lineno}: subclass must be N or I, got {parts[1]!r}")
+        if sid < 0 or idx < 0:
+            raise ParseError(f"{path}: line {lineno}: ids and indices must be non-negative")
+        key = (sid, parts[1], idx)
+        if key in seen:
+            raise ParseError(f"{path}: line {lineno}: duplicate sample {key}")
+        seen.add(key)
+        try:
+            values = [float(x) for x in parts[3:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: bad float field ({exc})") from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"{path}: line {lineno}: non-finite feature value")
+        sids.append(sid)
+        injured.append(parts[1] == "I")
+        idxs.append(idx)
+        rows.append(values)
+    # object ids: int() reads ids past the int64 range
+    return (np.array(sids, dtype=object), np.array(injured, dtype=bool), np.array(idxs, dtype=object),
+            np.array(rows, dtype=np.float64).reshape(-1, dim))
+
+
+def _row_view(subject_id: int, subclass: Subclass, sample_index: int, row: np.ndarray) -> Sample:
+    """A Sample holding ``row`` itself: a read-only view the caller checked."""
+    sample = object.__new__(Sample)
+    sample.__dict__.update(subject_id=subject_id, subclass=subclass, sample_index=sample_index, embedding=row)
+    return sample
+
+
+def _dataset_from_columns(dim: int, sid, injured, idx, features) -> Dataset:
+    """The canonical Dataset of checked CSV columns; :class:`SubjectRecord`
+    rejects a repeated key with a DataError.
+
+    The features are sorted into canonical order once and frozen as one
+    bytes-backed read-only ``(n, d)`` matrix; every Sample holds a row of it.
+    """
+    order = np.lexsort((idx, injured, sid))
+    matrix = np.frombuffer(features[order].tobytes()).reshape(-1, dim)
+    subclass = (Subclass.NON_INJURED, Subclass.INJURED)
+    samples = [
+        _row_view(s, subclass[i], k, row)
+        for s, i, k, row in zip(sid[order].tolist(), injured[order].tolist(), idx[order].tolist(), matrix)
+    ]
+    return Dataset.from_samples(dim, samples)
+
+
+def _parse(path, bulk: bool) -> Dataset:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lines = _utf8_lines(fh, path)
+        dim = _read_header(lines, path)
+        columns = _bulk_columns(lines, dim) if bulk else _row_columns(lines, dim, path)
+        return _dataset_from_columns(dim, *columns)
+
+
 def load_embeddings(path) -> Dataset:
     """Parse an embedding CSV into a Dataset.
 
@@ -328,55 +452,15 @@ def load_embeddings(path) -> Dataset:
     Malformed rows, inconsistent dimensions, and duplicate
     (subject, subclass, index) keys raise :class:`ParseError` naming the
     1-based line number; bytes that are not UTF-8 raise one naming the file.
+    The body is parsed in one numpy pass; on any doubt the file is read again
+    row by row, which gives the exact error or the values only ``int()`` and
+    ``float()`` accept.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = _utf8_lines(fh, path)
-        header = next(lines, "")
-        if not header:
-            raise ParseError(f"{path}: line 1: empty file, expected header")
-        fields = header.rstrip("\n").rstrip("\r").split(",")
-        if tuple(fields[:3]) != CSV_FIXED_COLUMNS:
-            raise ParseError(f"{path}: line 1: header must start with {','.join(CSV_FIXED_COLUMNS)}")
-        dim = len(fields) - 3
-        if dim < 1:
-            raise ParseError(f"{path}: line 1: header declares no feature columns")
-        for k, name in enumerate(fields[3:]):
-            if name != f"f{k}":
-                raise ParseError(f"{path}: line 1: feature column {k} must be named f{k}, got {name!r}")
-
-        samples: list[Sample] = []
-        seen: set[tuple[int, str, int]] = set()
-        for lineno, line in enumerate(lines, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 + dim:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {3 + dim} fields for dimension {dim}, got {len(parts)}"
-                )
-            try:
-                sid = int(parts[0])
-                idx = int(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: bad integer field ({exc})") from None
-            if parts[1] not in ("N", "I"):
-                raise ParseError(f"{path}: line {lineno}: subclass must be N or I, got {parts[1]!r}")
-            if sid < 0 or idx < 0:
-                raise ParseError(f"{path}: line {lineno}: ids and indices must be non-negative")
-            key = (sid, parts[1], idx)
-            if key in seen:
-                raise ParseError(f"{path}: line {lineno}: duplicate sample {key}")
-            seen.add(key)
-            try:
-                values = [float(x) for x in parts[3:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: bad float field ({exc})") from None
-            try:
-                samples.append(Sample(sid, Subclass(parts[1]), idx, values))
-            except DataError:  # the fields were checked above: only non-finiteness is left to fail
-                raise ParseError(f"{path}: line {lineno}: non-finite feature value") from None
-    return Dataset.from_samples(dim, samples)
+    try:
+        return _parse(path, bulk=True)
+    except (ValueError, DataError):
+        pass
+    return _parse(path, bulk=False)
 
 
 def subject_split(ds: Dataset, spec: SplitSpec, repetition: int) -> tuple[Dataset, Dataset]:

@@ -1,6 +1,7 @@
 """Dataset model, synthetic generator, CSV round trip, and split protocol."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,39 @@ class TestCsvRoundTrip:
         assert a == b
         for ra, rb in zip(a.subjects, b.subjects):
             assert [s.embedding.tobytes() for s in ra.samples] == [s.embedding.tobytes() for s in rb.samples]
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n\r\n"], ids=["header-only", "blank-lines", "blank-crlf-lines"])
+    def test_empty_body_loads_without_a_warning(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(("subject_id,subclass,sample_index,f0,f1\n" + body).encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_embeddings(path)
+        assert ds == Dataset(2, ())
+        assert ds.counts.shape == (0, 2)
+
+    def test_loaded_embeddings_are_read_only_rows_of_one_buffer(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        save_embeddings(generate_synthetic(small_config()), path)
+        embeddings = [s.embedding for s in load_embeddings(path).all_samples()]
+
+        def root(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return arr.base
+
+        buffer = root(embeddings[0])
+        assert type(buffer) is bytes and all(root(e) is buffer for e in embeddings)
+        assert buffer == b"".join(e.tobytes() for e in embeddings)  # one matrix in canonical order
+        backing = embeddings[0].base  # the array the row views were cut from
+        for arr in (embeddings[0], embeddings[-1], backing):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 99.0
+            with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+                arr.setflags(write=True)
+        copied = Sample(0, Subclass.NON_INJURED, 0, embeddings[0])  # the public constructor copies
+        assert not np.shares_memory(copied.embedding, embeddings[0])
+        assert copied.embedding.tobytes() == embeddings[0].tobytes()
 
 
     @pytest.mark.parametrize("rows_before", [0, 5000], ids=["first-chunk", "past-the-first-read"])
