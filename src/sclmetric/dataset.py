@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParseError, ProtocolError
+from .errors import ConfigError, DataError, ParseError, ProtocolError, check_integer_fields
 
 
 class Subclass(enum.Enum):
@@ -198,6 +198,7 @@ class SplitSpec:
     repetitions: int = 5
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.seed < 0:
             raise ConfigError("split seed must be non-negative")
         if not 0.0 < self.train_fraction < 1.0:
@@ -244,6 +245,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.n_subjects < 1:
             raise ConfigError("n_subjects must be >= 1")
         if self.dim < 1:
@@ -275,26 +277,22 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     For a fixed seed the result is bit-identical across calls.  Injured
     samples cycle through the subject's injury-mode directions by sample
     index, so every mode is exercised whenever ``n_injured >= n_injury_modes``.
+    Each subclass's noise is one ``(n, dim)`` draw, which numpy fills row by
+    row with the values of ``n`` successive ``dim``-sized draws.
     """
     rng = np.random.default_rng(cfg.seed)
+    mode_of = np.arange(cfg.n_injured) % cfg.n_injury_modes
     records = []
     for sid in range(cfg.n_subjects):
         mean = _random_unit_vector(rng, cfg.dim) * cfg.subject_radius
-        modes = [_random_unit_vector(rng, cfg.dim) for _ in range(cfg.n_injury_modes)]
-        non = tuple(
-            Sample(sid, Subclass.NON_INJURED, k, mean + rng.normal(0.0, cfg.sigma_n, cfg.dim))
-            for k in range(cfg.n_non_injured)
-        )
-        inj = tuple(
-            Sample(
-                sid,
-                Subclass.INJURED,
-                k,
-                mean + modes[k % cfg.n_injury_modes] * cfg.injury_shift + rng.normal(0.0, cfg.sigma_i, cfg.dim),
-            )
-            for k in range(cfg.n_injured)
-        )
-        records.append(SubjectRecord(sid, non, inj))
+        modes = np.array([_random_unit_vector(rng, cfg.dim) for _ in range(cfg.n_injury_modes)])
+        non = mean + rng.normal(0.0, cfg.sigma_n, (cfg.n_non_injured, cfg.dim))
+        inj = (mean + modes[mode_of] * cfg.injury_shift) + rng.normal(0.0, cfg.sigma_i, (cfg.n_injured, cfg.dim))
+        records.append(SubjectRecord(
+            sid,
+            tuple(Sample(sid, Subclass.NON_INJURED, k, row) for k, row in enumerate(non)),
+            tuple(Sample(sid, Subclass.INJURED, k, row) for k, row in enumerate(inj)),
+        ))
     return Dataset(cfg.dim, tuple(records))
 
 

@@ -49,7 +49,6 @@ reproduces that repetition's protocol result.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 
@@ -57,7 +56,7 @@ import numpy as np
 
 from . import mining, model, training
 from .dataset import Dataset, GalleryProbePartition, Sample, SplitSpec, Subclass, gallery_probe_partition, subject_split
-from .errors import ConfigError, DataError, DimensionMismatchError, ProtocolError
+from .errors import ConfigError, DataError, DimensionMismatchError, ProtocolError, check_integer_fields
 from .losses import ordered_sum, squared_distances
 
 # Distance blocks hold at most this many float64 entries (1 MiB); larger
@@ -135,10 +134,9 @@ class EvalConfig:
     verification_pairs: int = 50
 
     def __post_init__(self):
-        ranks = tuple(self.ranks)
-        if not all(isinstance(k, numbers.Integral) for k in ranks):
-            raise ConfigError(f"ranks must be integers, got {ranks}")
-        object.__setattr__(self, "ranks", tuple(map(int, ranks)))
+        object.__setattr__(self, "ranks", tuple(self.ranks))
+        check_integer_fields(self)
+        object.__setattr__(self, "ranks", tuple(map(int, self.ranks)))
         object.__setattr__(self, "target_fars", tuple(map(float, self.target_fars)))
         if not self.ranks or any(k < 1 for k in self.ranks):
             raise ConfigError(f"ranks must be nonempty and each >= 1, got {self.ranks}")

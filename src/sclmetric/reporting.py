@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .evaluation import CmcCurve, EvalReport, VerificationReport, far_gar_sweep
 
 
@@ -124,11 +126,8 @@ def write_score_histogram_svg(report: VerificationReport, path) -> None:
     width = (hi - lo) / _HISTOGRAM_BINS
 
     def counts(values):
-        c = [0] * _HISTOGRAM_BINS
-        for v in values:
-            idx = min(int((v - lo) / width), _HISTOGRAM_BINS - 1)
-            c[idx] += 1
-        return [x / len(values) for x in c]
+        bins = np.minimum(((np.asarray(values) - lo) / width).astype(np.int64), _HISTOGRAM_BINS - 1)
+        return (np.bincount(bins, minlength=_HISTOGRAM_BINS) / len(values)).tolist()
 
     g_counts = counts(report.genuine_scores)
     i_counts = counts(report.imposter_scores)

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import losses, mining, model
 from .dataset import Dataset
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_integer_fields
 
 LOSS_KINDS = ("scl", "cl", "tl")
 
@@ -101,6 +101,7 @@ class TrainConfig:
     hidden_dims: tuple[int, ...] = (32, 16)
 
     def __post_init__(self):
+        check_integer_fields(self)
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
         if not math.isfinite(self.learning_rate):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sclmetric import evaluation, model, presets, reporting
 from sclmetric.dataset import SplitSpec, generate_synthetic
@@ -224,3 +226,64 @@ def test_editing_the_payload_leaves_the_report_unchanged():
     payload["rank_mean"]["1"] = -1.0
     payload["mean_cmc"].append(-1.0)
     assert repr(report) == before
+
+
+def loop_histogram_svg(report, path):
+    """The score histogram writer as it was before numpy binned the scores,
+    one ``int()`` per score: the oracle for :func:`reporting.write_score_histogram_svg`."""
+    bins, fmt, W, H, ML, MR, MT, MB = (
+        reporting._HISTOGRAM_BINS, reporting._fmt, reporting._W, reporting._H,
+        reporting._ML, reporting._MR, reporting._MT, reporting._MB,
+    )
+    scores = list(report.genuine_scores) + list(report.imposter_scores)
+    lo, hi = min(scores), max(scores)
+    if hi == lo:
+        hi = lo + 1.0
+    width = (hi - lo) / bins
+
+    def counts(values):
+        c = [0] * bins
+        for v in values:
+            idx = min(int((v - lo) / width), bins - 1)
+            c[idx] += 1
+        return [x / len(values) for x in c]
+
+    g_counts = counts(report.genuine_scores)
+    i_counts = counts(report.imposter_scores)
+    top = max(max(g_counts), max(i_counts), 1e-12)
+    parts = reporting._svg_frame("Genuine vs imposter score distribution", "distance", "fraction of pairs")
+    bar_w = (W - ML - MR) / bins
+    for series, color, shift in ((g_counts, "#1f77b4", 0.0), (i_counts, "#d62728", bar_w / 2)):
+        for k, frac in enumerate(series):
+            if frac == 0:
+                continue
+            x = ML + k * bar_w + shift
+            h = (frac / top) * (H - MT - MB)
+            y = (H - MB) - h
+            parts.append(
+                f'<rect x="{fmt(x)}" y="{fmt(y)}" width="{fmt(bar_w / 2)}" height="{fmt(h)}" '
+                f'fill="{color}" fill-opacity="0.6"/>'
+            )
+    parts.append(f'<text x="{W - MR - 4}" y="{MT + 16}" text-anchor="end" font-size="12" fill="#1f77b4">genuine</text>')
+    parts.append(f'<text x="{W - MR - 4}" y="{MT + 32}" text-anchor="end" font-size="12" fill="#d62728">imposter</text>')
+    parts.append("</svg>")
+    reporting._write_lines(path, parts)
+
+
+unit_scores = st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from((0.0, 0.5, 1.0))), min_size=1, max_size=40)
+
+
+@pytest.fixture(scope="module")
+def svg_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("hist")
+
+
+@given(unit_scores, unit_scores, st.sampled_from((1e-300, 1e-8, 1.0, 3.7, 1e8, 1e300)))
+@settings(max_examples=300, deadline=None)
+def test_histogram_bins_match_the_per_score_loop(svg_dir, genuine, imposter, scale):
+    report = VerificationReport(tuple(g * scale for g in genuine), tuple(i * scale for i in imposter))
+    lo, hi = min(report.genuine_scores + report.imposter_scores), max(report.genuine_scores + report.imposter_scores)
+    assume(((lo + 1.0 if hi == lo else hi) - lo) / reporting._HISTOGRAM_BINS > 0)  # the loop divides by the bin width
+    reporting.write_score_histogram_svg(report, svg_dir / "new.svg")
+    loop_histogram_svg(report, svg_dir / "loop.svg")
+    assert (svg_dir / "new.svg").read_bytes() == (svg_dir / "loop.svg").read_bytes()
