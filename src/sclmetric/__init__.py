@@ -75,7 +75,6 @@ from .mining import (
 from .model import (
     Checkpoint,
     ForwardTrace,
-    FreezeMask,
     Layer,
     ModelParams,
     backward,

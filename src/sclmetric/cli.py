@@ -10,15 +10,14 @@ The config sections ``synth``, ``split``, ``train`` and ``eval`` are
 exactly the fields of :class:`~sclmetric.dataset.SynthConfig`,
 :class:`~sclmetric.dataset.SplitSpec`, :class:`~sclmetric.training.TrainConfig`
 and :class:`~sclmetric.evaluation.EvalConfig`: the accepted keys, their JSON
-types and their defaults (the easy synthetic preset for ``synth``) all come
-from those dataclasses, and each section is built by its dataclass, which
-range-checks it.  Unknown keys, values of the wrong JSON type (list entries
-included), non-finite numbers, out-of-range values and a file that is not
-UTF-8 JSON are config errors.  :func:`main` resolves the config and creates
-``--out`` once, before any input is read, and hands each ``cmd_*`` function
-``(args, cfg, conf, out)``: the flags, the resolved document, the built
-sections and the output directory.  Resolved values are embedded exactly as
-given.
+types and their defaults all come from those dataclasses, and each section
+is built by its dataclass, which range-checks it.  Unknown keys, values of
+the wrong JSON type (list entries included), non-finite numbers,
+out-of-range values and a file that is not UTF-8 JSON are config errors.
+:func:`main` resolves the config and creates ``--out`` once, before any
+input is read, and hands each ``cmd_*`` function ``(args, cfg, conf, out)``:
+the flags, the resolved document, the built sections and the output
+directory.  Resolved values are embedded exactly as given.
 
 Seed resolution order: ``--seed`` flag, then the config file, then the
 ``SCLMETRIC_SEED`` environment variable, then 0.  Section-level seeds
@@ -51,24 +50,17 @@ import sys
 import typing
 import warnings
 from dataclasses import asdict, fields, replace
-from functools import partial
 from pathlib import Path
 
-from . import evaluation, model, presets, reporting, training
+from . import evaluation, model, reporting, training
 from .dataset import Dataset, SplitSpec, SynthConfig, generate_synthetic, load_embeddings, save_embeddings, subject_split
 from .errors import ConfigError, DataError, NumericError, SclMetricError
 from .evaluation import EvalConfig
 from .training import TrainConfig
 
-# Each config section is exactly the fields of its dataclass, with the
-# defaults of the instance the second entry makes.  Sections with a seed
-# field take the global seed unless they set their own.
-_SECTIONS = {
-    "synth": (SynthConfig, presets.easy_synth_config),
-    "split": (SplitSpec, partial(SplitSpec, 0)),
-    "train": (TrainConfig, TrainConfig),
-    "eval": (EvalConfig, EvalConfig),
-}
+# Each config section is exactly the fields and defaults of its dataclass.
+# Sections with a seed field take the global seed unless they set their own.
+_SECTIONS = {"synth": SynthConfig, "split": SplitSpec, "train": TrainConfig, "eval": EvalConfig}
 
 
 def _accepts(hint, value) -> bool:
@@ -95,7 +87,7 @@ def _check_value(key: str, value, hint) -> None:
 def _check_section(name: str, values) -> None:
     if not isinstance(values, dict):
         raise ConfigError(f"config key {name!r} must be an object")
-    cls = _SECTIONS[name][0]
+    cls = _SECTIONS[name]
     hints = typing.get_type_hints(cls)
     names = {f.name for f in fields(cls)}
     for key, value in values.items():
@@ -143,8 +135,8 @@ def _resolve_config(args) -> tuple[dict, dict]:
     if seed is None:
         seed = _env_seed()
     cfg = {"seed": 0 if seed is None else seed}
-    for name, (cls, make_default) in _SECTIONS.items():
-        default = make_default()
+    for name, cls in _SECTIONS.items():
+        default = cls()
         cfg[name] = {f.name: getattr(default, f.name) for f in fields(cls) if f.name != "seed"}
         cfg[name].update(user.get(name, {}))
 
@@ -165,7 +157,7 @@ def _resolve_config(args) -> tuple[dict, dict]:
             raise ConfigError("--margin applies to --loss cl or tl; use --alpha1/--alpha2 for scl")
 
     built = {}
-    for name, (cls, _) in _SECTIONS.items():
+    for name, cls in _SECTIONS.items():
         for key, value in cfg[name].items():
             values = value if isinstance(value, (list, tuple)) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):

@@ -193,7 +193,7 @@ class Dataset:
 class SplitSpec:
     """Repeated random sub-sampling plan: disjoint subject-level splits."""
 
-    seed: int
+    seed: int = 0
     train_fraction: float = 0.7
     repetitions: int = 5
 
@@ -231,16 +231,17 @@ class GalleryProbePartition:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Parameters of the synthetic subclass-cluster generator."""
+    """Parameters of the synthetic subclass-cluster generator.  The defaults are
+    the easy preset: 10 well separated subjects with a single small injury shift."""
 
-    n_subjects: int
-    dim: int
-    n_non_injured: int
-    n_injured: int
-    subject_radius: float
-    sigma_n: float
-    sigma_i: float
-    injury_shift: float
+    n_subjects: int = 10
+    dim: int = 16
+    n_non_injured: int = 4
+    n_injured: int = 4
+    subject_radius: float = 10.0
+    sigma_n: float = 0.1
+    sigma_i: float = 0.1
+    injury_shift: float = 2.0
     n_injury_modes: int = 1
     seed: int = 0
 

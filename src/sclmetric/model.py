@@ -4,7 +4,7 @@ The map is a chain of affine layers with ReLU between them and an identity
 output, initialized with Glorot-uniform weights and zero biases.  Forward
 returns both the embedding and an activation trace; backward consumes the
 trace and a gradient w.r.t. the output and produces per-layer parameter
-gradients, zeroing the leading ``frozen_layer_count`` layers so a frozen
+gradients, zeroing the leading ``freeze`` layers (an int) so a frozen
 prefix never moves under any optimizer.
 
 Checkpoints are a versioned binary format::
@@ -154,17 +154,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class FreezeMask:
-    """How many leading layers are excluded from parameter updates."""
-
-    frozen_layer_count: int = 0
-
-    def __post_init__(self):
-        if self.frozen_layer_count < 0:
-            raise ConfigError("frozen_layer_count must be >= 0")
-
-
-@dataclass(frozen=True)
 class ForwardTrace:
     """Per-layer inputs and pre-activations retained for the backward pass."""
 
@@ -239,7 +228,7 @@ def _fold(dz: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return total[:, :-1], total[:, -1]
 
 
-def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask = FreezeMask()):
+def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: int = 0):
     """Chain-rule the output gradient into per-layer (dW, db) pairs.
 
     For a trace of rows ``grad_out`` has one row each; every parameter gradient
@@ -247,12 +236,11 @@ def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask =
     products as they are), and ``np.matmul(W.T, dz[..., None])`` sends the gradient
     down, one gemv per row.  Rows with an all-zero ``grad_out`` are skipped, exact
     for a finite trace: they add only +-0.0 (an ``inf`` activation in one made NaN).
-    Frozen layers get exactly-zero gradients; the trace must come from this model.
+    The leading ``freeze`` layers get exactly-zero gradients; the trace must come
+    from this model.
     """
-    if freeze.frozen_layer_count > len(m.layers):
-        raise ConfigError(
-            f"cannot freeze {freeze.frozen_layer_count} of {len(m.layers)} layers"
-        )
+    if not 0 <= freeze <= len(m.layers):
+        raise ConfigError(f"cannot freeze {freeze} of {len(m.layers)} layers")
     if len(trace.inputs) != len(m.layers):
         raise DataError("trace does not match model depth")
     g = np.asarray(grad_out, dtype=np.float64)
@@ -266,12 +254,12 @@ def backward(m: ModelParams, trace: ForwardTrace, grad_out, freeze: FreezeMask =
         x_in, z = trace.inputs[li], trace.preacts[li]
         if x_in.shape[-1] != layer.in_dim or z.shape[-1] != layer.out_dim:
             raise DataError("trace shapes do not match model layer shapes")
-        if li < freeze.frozen_layer_count:
+        if li < freeze:
             grads[li] = (np.zeros_like(layer.weight), np.zeros_like(layer.bias))
             continue
         dz = g * (z[rows] > 0.0) if layer.activation == "relu" else g
         grads[li] = _fold(dz, x_in[rows]) if g.ndim == 2 else (dz[:, None] * x_in, dz.copy())
-        if li > freeze.frozen_layer_count:
+        if li > freeze:
             g = np.matmul(layer.weight.T, dz[..., None])[..., 0]
     return tuple(grads)
 

@@ -1,9 +1,11 @@
-"""Named configurations used by the demos, the CLI defaults, and the tests.
+"""Named configurations used by the demos and the tests.
 
 Two synthetic-data difficulty levels and one training regime:
 
-* ``easy_synth_config`` - 10 well separated subjects with a single small
-  injury shift; any reasonable training run should saturate rank-1 here.
+* ``easy_synth_config`` - the :class:`~sclmetric.dataset.SynthConfig`
+  defaults, which the CLI's ``synth`` section also starts from: 10 well
+  separated subjects with a single small injury shift; any reasonable
+  training run should saturate rank-1 here.
 * ``hard_synth_config`` - 30 closer subjects whose injured samples scatter
   across three distinct shift directions with triple the intact spread, so
   consolidating a subject's injured subclass actually matters.
@@ -22,18 +24,7 @@ from .training import TrainConfig
 
 
 def easy_synth_config(seed: int = 0) -> SynthConfig:
-    return SynthConfig(
-        n_subjects=10,
-        dim=16,
-        n_non_injured=4,
-        n_injured=4,
-        subject_radius=10.0,
-        sigma_n=0.1,
-        sigma_i=0.1,
-        injury_shift=2.0,
-        n_injury_modes=1,
-        seed=seed,
-    )
+    return SynthConfig(seed=seed)
 
 
 def hard_synth_config(seed: int = 0) -> SynthConfig:

@@ -121,9 +121,7 @@ def write_score_histogram_svg(report: VerificationReport, path) -> None:
     """Overlaid genuine/imposter score histograms (normalized bar heights)."""
     scores = list(report.genuine_scores) + list(report.imposter_scores)
     lo, hi = min(scores), max(scores)
-    if hi == lo:
-        hi = lo + 1.0
-    width = (hi - lo) / _HISTOGRAM_BINS
+    width = (hi - lo) / _HISTOGRAM_BINS or 1.0
 
     def counts(values):
         bins = np.minimum(((np.asarray(values) - lo) / width).astype(np.int64), _HISTOGRAM_BINS - 1)

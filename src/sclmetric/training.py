@@ -175,7 +175,6 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
     non-finite.
     """
     params = model.init_model([ds_train.dimension, *cfg.hidden_dims], cfg.seed)
-    freeze = model.FreezeMask(cfg.freeze)
     adam = AdamState.for_model(params)
     samples = np.array([s.embedding for s in ds_train.all_samples()], dtype=np.float64)
     samples = samples.reshape(-1, ds_train.dimension)
@@ -196,7 +195,7 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
             embedded, trace = model.forward(params, samples[batch.ravel()])
             slots = embedded.reshape(*batch.shape, -1).transpose(1, 0, 2)
             values, slot_grads = _loss_rows(cfg, batch, labels, slots)
-            grads = model.backward(params, trace, np.stack(slot_grads, axis=1).reshape(embedded.shape), freeze)
+            grads = model.backward(params, trace, np.stack(slot_grads, axis=1).reshape(embedded.shape), cfg.freeze)
             batch_loss = losses.ordered_sum(values)
             kept.append(values)
             if not math.isfinite(batch_loss):

@@ -423,10 +423,22 @@ class TestDocumentedErrors:
                 DataError,
                 "distractor subject id 1000 collides with the partition",
             ),
+            *[
+                (
+                    lambda g=g, p=p, normalize=normalize: mean_inter_class_distance(
+                        g, p, model.identity_model(2), normalize
+                    ),
+                    ProtocolError,
+                    "inter-class distance needs at least 2 subjects",
+                )
+                for g, p in (([], [(0, np.zeros(2)), (1, np.ones(2))]), ([(0, np.zeros(2)), (1, np.ones(2))], []))
+                for normalize in (True, False)
+            ],
         ],
         ids=[
             "empty-cmc", "ragged-gallery", "no-rankings", "ragged-rankings", "no-pairs",
             "zero-pairs-per-label", "no-subject-with-both", "nothing-to-aggregate", "repeated-distractor",
+            *[f"no-inter-class-{side}-{norm}" for side in ("gallery", "probes") for norm in ("normalized", "raw")],
         ],
     )
     def test_message(self, call, error, message):

@@ -291,6 +291,7 @@ class TestUnitInvariants:
             (lambda n0, n1, i0, i1: Triplet(i0[0], i0[1], i1[0]), "triplet anchor must be non-injured"),
             (lambda n0, n1, i0, i1: Triplet(n0, n0, i1[0]), "triplet positive/negative must be injured"),
             (lambda n0, n1, i0, i1: Triplet(n0, i1[0], i1[1]), "triplet positive must match the anchor's subject"),
+            (lambda n0, n1, i0, i1: Triplet(n0, i0[0], i0[1]), "triplet negative must come from another subject"),
         ],
     )
     def test_slot_checks(self, build, message):

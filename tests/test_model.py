@@ -8,7 +8,7 @@ import pytest
 
 from sclmetric import losses, model
 from sclmetric.errors import CheckpointError, ConfigError, DataError, DimensionMismatchError
-from sclmetric.model import FreezeMask, backward, forward, identity_model, init_model
+from sclmetric.model import backward, forward, identity_model, init_model
 
 from helpers import central_difference, flatten_grads, flatten_params, relative_error, unflatten_params
 
@@ -103,22 +103,22 @@ class TestBackward:
     def test_full_freeze_zeroes_everything(self):
         m = init_model([4, 6, 3], seed=0)
         _, trace = forward(m, np.ones(4))
-        grads = backward(m, trace, np.ones(3), FreezeMask(2))
+        grads = backward(m, trace, np.ones(3), 2)
         for dw, db in grads:
             assert not dw.any() and not db.any()
 
     def test_partial_freeze_zeroes_prefix_only(self):
         m = init_model([4, 6, 3], seed=0)
         _, trace = forward(m, np.ones(4))
-        grads = backward(m, trace, np.ones(3), FreezeMask(1))
+        grads = backward(m, trace, np.ones(3), 1)
         assert not grads[0][0].any()
         assert grads[1][0].any()
 
     def test_freeze_beyond_depth_rejected(self):
         m = init_model([4, 3], seed=0)
         _, trace = forward(m, np.ones(4))
-        with pytest.raises(ConfigError):
-            backward(m, trace, np.ones(3), FreezeMask(5))
+        with pytest.raises(ConfigError, match=r"^cannot freeze 2 of 1 layers$"):
+            backward(m, trace, np.ones(3), 2)
 
     def test_trace_model_mismatch(self):
         m1 = init_model([4, 6, 3], seed=0)
@@ -205,11 +205,11 @@ class TestRows:
                 g = rng.normal(size=(n, dims[-1])) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
                 g[rng.random(n) < 0.3] = 0.0  # rows with a zero loss gradient
                 _, trace = forward(m, x)
-                grads = backward(m, trace, g, FreezeMask(frozen))
+                grads = backward(m, trace, g, frozen)
                 folded = model.zero_gradients(m)
                 for row, g_row in zip(x, g):
                     _, trace_row = forward(m, np.array(row))
-                    folded = model.add_gradients(folded, backward(m, trace_row, g_row, FreezeMask(frozen)))
+                    folded = model.add_gradients(folded, backward(m, trace_row, g_row, frozen))
                 for li, ((gw, gb), (fw, fb)) in enumerate(zip(grads, folded)):
                     assert gw.tobytes() == fw.tobytes() and gb.tobytes() == fb.tobytes()
                     if li < frozen:
@@ -271,7 +271,7 @@ class TestFoldDifferential:
         return g
 
     def assert_same(self, m, trace, g, frozen=0):
-        grads = backward(m, trace, g, FreezeMask(frozen))
+        grads = backward(m, trace, g, frozen)
         for (gw, gb), (lw, lb) in zip(grads, loop_backward(m, trace, g, frozen)):
             assert gw.tobytes() == lw.tobytes() and gb.tobytes() == lb.tobytes()
         return grads
@@ -639,8 +639,9 @@ class TestConstructionErrors:
             call()
 
     def test_negative_freeze_mask(self):
-        with pytest.raises(ConfigError, match=r"^frozen_layer_count must be >= 0$"):
-            FreezeMask(-1)
+        m = init_model([4, 6, 3], seed=0)
+        with pytest.raises(ConfigError, match=r"^cannot freeze -1 of 2 layers$"):
+            backward(m, forward(m, np.ones(4))[1], np.ones(3), -1)
 
     def test_zero_layer_width(self):
         with pytest.raises(ConfigError, match=r"^layer widths must be positive, got \[4, 0, 2\]$"):

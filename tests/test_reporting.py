@@ -76,6 +76,20 @@ class TestSvg:
             '<rect x="74" y="40" width="14" height="390" fill="#d62728" fill-opacity="0.6"/>',
         ]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "genuine, imposter", [((1e17,), (1e17,)), ((0.0,), (5e-324,))], ids=["equal-from-2**53", "span-underflows"]
+    )
+    def test_histogram_svg_of_a_zero_bin_width(self, tmp_path, genuine, imposter):
+        # A twentieth of the span is 0.0 here, whatever its scale; every score falls in the first bin.
+        path = tmp_path / "hist.svg"
+        reporting.write_score_histogram_svg(VerificationReport(genuine, imposter), path)
+        bars = [line for line in path.read_text(encoding="utf-8").splitlines() if line.startswith("<rect x=")]
+        assert bars == [
+            '<rect x="60" y="40" width="14" height="390" fill="#1f77b4" fill-opacity="0.6"/>',
+            '<rect x="74" y="40" width="14" height="390" fill="#d62728" fill-opacity="0.6"/>',
+        ]
+
     def test_histogram_svg(self, tmp_path):
         report = gar_at_far(
             VerificationReport((0.1, 0.2, 0.3), (0.8, 0.9, 1.4)), [0.1]
