@@ -54,7 +54,7 @@ from pathlib import Path
 
 from . import evaluation, model, reporting, training
 from .dataset import Dataset, SplitSpec, SynthConfig, generate_synthetic, load_embeddings, save_embeddings, subject_split
-from .errors import ConfigError, DataError, NumericError, SclMetricError
+from .errors import ConfigError, DataError, NumericError
 from .evaluation import EvalConfig
 from .training import TrainConfig
 
@@ -377,9 +377,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
-    except SclMetricError as exc:  # anything else from the library
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     finally:
         warnings.formatwarning = default_format
 

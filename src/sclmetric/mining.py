@@ -156,50 +156,43 @@ class Batch:
         return self.genuine_sets + self.imposter_sets
 
 
-def _anchors(ds: Dataset, kind: str, need_injured: bool = True) -> np.ndarray:
-    """Positions in ``ds.subjects`` of the subjects a miner mines from.
-
-    Subjects lacking an intact sample, or with ``need_injured`` an injured
-    one, are skipped with one warning naming ``kind``, attributed to the
-    first caller outside this module.
-    """
-    eligible = (ds.counts if need_injured else ds.counts[:, :1]).all(axis=1)
-    if not eligible.all():
-        reason = "missing a subclass" if need_injured else "no non-injured samples"
-        skipped = [(ds.subjects[pos].subject_id, reason) for pos in np.flatnonzero(~eligible).tolist()]
-        frame, level = sys._getframe(1), 2
-        while frame.f_globals.get("__name__") == __name__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(f"{kind} mining skipped subjects: {skipped}", stacklevel=level)
-    return np.flatnonzero(eligible)
-
-
 class _Subjects:
     """Per subject, in dataset order: intact and injured counts, the first
     row of each in ``ds.all_samples()``, and its position among the donors
-    (the subjects with injured samples), or the donor count if it is none."""
+    (the subjects with injured samples), or ``n_donors`` if it is none.
+    Given ``use``, fewer than two donors raise :class:`MiningError`, as no
+    cross-subject unit can then be formed."""
 
-    def __init__(self, ds: Dataset):
+    def __init__(self, ds: Dataset, use: str | None = None):
+        self.ds = ds
         self.non, self.inj = ds.counts.T
         self.first = (self.non + self.inj).cumsum() - self.non - self.inj
         donor = self.inj > 0
         self.donor_rows = (self.first + self.non)[donor]
         self.donor_counts = self.inj[donor]
-        self.own = np.where(donor, donor.cumsum() - 1, len(self.donor_counts))
+        self.n_donors = len(self.donor_counts)
+        self.own = np.where(donor, donor.cumsum() - 1, self.n_donors)
+        if use is not None and self.n_donors < 2:
+            raise MiningError(f"{use} needs >= 2 subjects with injured samples, found {self.n_donors}")
 
-    def units(self, anchors: np.ndarray, per_subject: int):
+    def units(self, kind: str, per_subject: int, need_injured: bool = True):
         """Per unit: intact count, injured count, first intact row, first
-        injured row and donor position of its subject."""
-        at = anchors.repeat(per_subject)
+        injured row and donor position of its subject.
+
+        Subjects lacking an intact sample, or with ``need_injured`` an
+        injured one, are skipped with one warning naming ``kind``,
+        attributed to the first caller outside this module.
+        """
+        eligible = (self.ds.counts if need_injured else self.ds.counts[:, :1]).all(axis=1)
+        if not eligible.all():
+            reason = "missing a subclass" if need_injured else "no non-injured samples"
+            skipped = [(self.ds.subjects[pos].subject_id, reason) for pos in np.flatnonzero(~eligible).tolist()]
+            frame, level = sys._getframe(1), 2
+            while frame.f_globals.get("__name__") == __name__:
+                frame, level = frame.f_back, level + 1
+            warnings.warn(f"{kind} mining skipped subjects: {skipped}", stacklevel=level)
+        at = np.flatnonzero(eligible).repeat(per_subject)
         return self.non[at], self.inj[at], self.first[at], self.first[at] + self.non[at], self.own[at]
-
-
-def _donors(subjects: _Subjects, use: str, required: bool = True) -> None:
-    """Raise :class:`MiningError` when ``required`` and fewer than two subjects
-    have injured samples, since no cross-subject unit can then be formed."""
-    found = len(subjects.donor_counts)
-    if required and found < 2:
-        raise MiningError(f"{use} needs >= 2 subjects with injured samples, found {found}")
 
 
 def _draw(seed: int, bounds: np.ndarray, donor=None) -> np.ndarray:
@@ -245,7 +238,7 @@ def _draw(seed: int, bounds: np.ndarray, donor=None) -> np.ndarray:
 
 def genuine_rows(ds: Dataset, per_subject: int, seed: int) -> np.ndarray:
     """The (a, b, c) rows of :func:`build_genuine_sets`' units."""
-    non, inj, first, first_inj, _ = _Subjects(ds).units(_anchors(ds, "genuine-set"), per_subject)
+    non, inj, first, first_inj, _ = _Subjects(ds).units("genuine-set", per_subject)
     pair = inj > 1
     bounds = np.stack([non, np.where(pair, inj - 1, 1), np.where(pair, inj, 1), np.where(pair, 2, 1)], axis=1)
     a, q, r, keep = _draw(seed, bounds).T
@@ -257,11 +250,9 @@ def genuine_rows(ds: Dataset, per_subject: int, seed: int) -> np.ndarray:
 
 def imposter_rows(ds: Dataset, per_subject: int, seed: int) -> np.ndarray:
     """The (a, b, c) rows of :func:`build_imposter_sets`' units."""
-    subjects = _Subjects(ds)
-    _donors(subjects, "imposter mining")
-    anchors = _anchors(ds, "imposter-set", need_injured=False)
-    non, inj, first, first_inj, own = subjects.units(anchors, per_subject)
-    n_donors = len(subjects.donor_counts)
+    subjects = _Subjects(ds, "imposter mining")
+    non, inj, first, first_inj, own = subjects.units("imposter-set", per_subject, need_injured=False)
+    n_donors = subjects.n_donors
     bounds = np.stack([non, n_donors - (own < n_donors), np.ones_like(non), np.maximum(inj, 1)], axis=1)
     a, d, b, c = _draw(seed, bounds, (1, 2, own, subjects.donor_counts)).T
     b = subjects.donor_rows[d] + b
@@ -271,11 +262,9 @@ def imposter_rows(ds: Dataset, per_subject: int, seed: int) -> np.ndarray:
 def cl_rows(ds: Dataset, per_subject: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The (first, second) rows of :func:`build_cl_pairs`' genuine units and
     of its imposter units, each in mining order."""
-    subjects = _Subjects(ds)
-    _donors(subjects, "imposter pairing", required=per_subject > 0)
-    non, inj, first, first_inj, own = subjects.units(_anchors(ds, "contrastive-pair"), per_subject)
-    n_donors = len(subjects.donor_counts)
-    bounds = np.stack([non, inj, np.full_like(non, n_donors - 1), non, np.ones_like(non)], axis=1)
+    subjects = _Subjects(ds, "imposter pairing" if per_subject > 0 else None)
+    non, inj, first, first_inj, own = subjects.units("contrastive-pair", per_subject)
+    bounds = np.stack([non, inj, np.full_like(non, subjects.n_donors - 1), non, np.ones_like(non)], axis=1)
     a, p, d, a2, n = _draw(seed, bounds, (2, 4, own, subjects.donor_counts)).T
     genuine = np.stack([first + a, first_inj + p], axis=1)
     return genuine, np.stack([first + a2, subjects.donor_rows[d] + n], axis=1)
@@ -283,10 +272,9 @@ def cl_rows(ds: Dataset, per_subject: int, seed: int) -> tuple[np.ndarray, np.nd
 
 def triplet_rows(ds: Dataset, per_subject: int, seed: int) -> np.ndarray:
     """The (anchor, positive, negative) rows of :func:`build_triplets`' units."""
-    subjects = _Subjects(ds)
-    _donors(subjects, "triplet mining", required=per_subject > 0)
-    non, inj, first, first_inj, own = subjects.units(_anchors(ds, "triplet"), per_subject)
-    bounds = np.stack([non, inj, np.full_like(non, len(subjects.donor_counts) - 1), np.ones_like(non)], axis=1)
+    subjects = _Subjects(ds, "triplet mining" if per_subject > 0 else None)
+    non, inj, first, first_inj, own = subjects.units("triplet", per_subject)
+    bounds = np.stack([non, inj, np.full_like(non, subjects.n_donors - 1), np.ones_like(non)], axis=1)
     a, p, d, n = _draw(seed, bounds, (2, 3, own, subjects.donor_counts)).T
     return np.stack([first + a, first_inj + p, subjects.donor_rows[d] + n], axis=1)
 
@@ -330,8 +318,7 @@ def build_cl_pairs(ds: Dataset, per_subject: int, seed: int) -> list[Contrastive
 def build_triplets(ds: Dataset, per_subject: int, seed: int) -> list[Triplet]:
     """Mine ``per_subject`` triplets per eligible subject, negatives uniform
     over other subjects' injured samples."""
-    samples = ds.all_samples()
-    return [Triplet(*(samples[i] for i in row)) for row in triplet_rows(ds, per_subject, seed).tolist()]
+    return _sets(Triplet, ds, triplet_rows(ds, per_subject, seed))
 
 
 def batch_order(n_genuine: int, n_imposter: int, batch_size: int, seed: int):

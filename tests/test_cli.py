@@ -13,6 +13,7 @@ import pytest
 from sclmetric import model
 from sclmetric.cli import main
 from sclmetric.dataset import SplitSpec, load_embeddings, subject_split
+from sclmetric.errors import ConfigError, DataError, NumericError, SclMetricError
 
 SMALL_SYNTH = {
     "n_subjects": 8,
@@ -681,3 +682,16 @@ class TestConfig:
             f"config error: config {path} is not valid JSON: 'utf-8' codec can't decode byte 0xff"
         )
         assert not out.exists()
+
+
+def test_every_library_error_has_an_exit_code():
+    # main maps ConfigError to 2, DataError to 3 and NumericError to 4, and has
+    # no handler for any other library error.
+    pending, found = [SclMetricError], []
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        pending += subclasses
+        found += subclasses
+    assert found
+    for cls in found:
+        assert issubclass(cls, (ConfigError, DataError, NumericError)), cls

@@ -17,6 +17,7 @@ from sclmetric.mining import (
     build_imposter_sets,
     build_triplets,
     cl_rows,
+    imposter_rows,
     make_batches,
     triplet_rows,
 )
@@ -111,6 +112,28 @@ class TestGenuineSets:
             builder(Dataset(2, (*tiny_dataset(2, 1, 2).subjects, extra)), 1, seed=0)
         assert [str(w.message) for w in caught] == [f"{kind} mining skipped subjects: [(9, '{reason}')]"]
         assert caught[0].filename == __file__
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "miner, per_subject, use",
+    [
+        (imposter_rows, 1, "imposter mining"),
+        (imposter_rows, 0, "imposter mining"),
+        (cl_rows, 1, "imposter pairing"),
+        (triplet_rows, 1, "triplet mining"),
+    ],
+)
+def test_two_donor_check_raises_before_the_skip_warning(miner, per_subject, use):
+    # Subject 0 is the one donor and has no intact sample; subject 1 has no
+    # injured one.  Each miner would skip a subject, so a warning (an error
+    # here) that came before the donor check would fail the match.
+    records = (
+        SubjectRecord(0, (), (Sample(0, Subclass.INJURED, 0, [0.0, 1.0]),)),
+        SubjectRecord(1, (Sample(1, Subclass.NON_INJURED, 0, [1.0, 0.0]),), ()),
+    )
+    with pytest.raises(MiningError, match=f"^{use} needs >= 2 subjects with injured samples, found 1$"):
+        miner(Dataset(2, records), per_subject, seed=0)
 
 
 class TestImposterSets:
