@@ -47,7 +47,6 @@ from .evaluation import (
     mean_inter_class_distance,
     rank_k_accuracy,
     repeated_evaluation,
-    verification_scores,
 )
 from .losses import (
     LossValue,

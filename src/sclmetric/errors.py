@@ -42,7 +42,7 @@ class CheckpointError(DataError):
 
 
 class NumericError(SclMetricError):
-    """Non-finite values encountered during training."""
+    """Non-finite values in training or in evaluation's distances."""
 
 
 @functools.cache

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import mining, model, training
 from .dataset import Dataset, GalleryProbePartition, Sample, SplitSpec, Subclass, gallery_probe_partition, subject_split
-from .errors import ConfigError, DataError, DimensionMismatchError, ProtocolError, check_integer_fields
+from .errors import ConfigError, DataError, DimensionMismatchError, NumericError, ProtocolError, check_integer_fields
 from .losses import ordered_sum, squared_distances
 
 # Distance blocks hold at most this many float64 entries (1 MiB); larger
@@ -176,8 +176,12 @@ def _matrix(vectors) -> np.ndarray:
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of ``a`` and ``b``, broadcast
-    over every axis but the last, with the bits of ``squared_euclidean``."""
+    over every axis but the last, with the bits of ``squared_euclidean``.
+    Raises :class:`NumericError` if a squared distance is not finite: an
+    embedding is NaN or infinite, or a distance overflows."""
     squared = squared_distances(a, b)
+    if not np.isfinite(squared).all():
+        raise NumericError("non-finite distance: an embedding is not finite or a squared distance overflows")
     return np.sqrt(squared, out=squared)
 
 
@@ -275,18 +279,6 @@ def rank_k_accuracy(curve: CmcCurve, k: int) -> float:
     return curve.values[k - 1]
 
 
-def verification_scores(pairs, m: model.ModelParams) -> VerificationReport:
-    """Distance per pair, partitioned by label into genuine/imposter scores."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ProtocolError("verification needs at least one pair")
-    first = _forward_rows(m, [p.first.embedding for p in pairs])
-    second = _forward_rows(m, [p.second.embedding for p in pairs])
-    scores = _distances(first, second)
-    genuine = np.array([p.label == 0 for p in pairs])
-    return VerificationReport(tuple(scores[genuine].tolist()), tuple(scores[~genuine].tolist()))
-
-
 def _sweep(report: VerificationReport):
     """The sorted score grid with FAR and GAR at each grid threshold."""
     if not report.genuine_scores or not report.imposter_scores:
@@ -377,20 +369,26 @@ def extend_gallery(partition: GalleryProbePartition, distractors) -> GalleryProb
     return replace(partition, gallery=partition.gallery + tuple(extra))
 
 
-def sample_verification_pairs(ds: Dataset, n_per_label: int, seed: int):
-    """Uniformly sample a balanced verification pair list (n genuine +
-    n imposter), mining with replacement so small test sets still fill up."""
+def _pair_rows(ds: Dataset, n_per_label: int, seed: int):
+    """The genuine and the imposter ``(first, second)`` rows of a balanced
+    verification sample (n of each) into ``ds.all_samples()``, mined with
+    replacement so small test sets still fill up."""
     if n_per_label < 1:
         raise ProtocolError("need at least one verification pair per label")
     eligible = sum(1 for r in ds.subjects if r.non_injured and r.injured)
     if eligible == 0:
         raise ProtocolError("no subject has both subclasses; cannot build pairs")
     per_subject = -(-n_per_label // eligible)  # ceil
+    return tuple(rows[:n_per_label] for rows in mining.cl_rows(ds, per_subject, seed))
+
+
+def sample_verification_pairs(ds: Dataset, n_per_label: int, seed: int):
+    """The pairs of :func:`_pair_rows` as ``ContrastivePair``s, genuine first."""
     samples = ds.all_samples()
     return [
         mining.ContrastivePair(samples[a], samples[b], label)
-        for label, rows in enumerate(mining.cl_rows(ds, per_subject, seed))
-        for a, b in rows[:n_per_label].tolist()
+        for label, rows in enumerate(_pair_rows(ds, n_per_label, seed))
+        for a, b in rows.tolist()
     ]
 
 
@@ -409,7 +407,7 @@ def evaluate_model(
     single-image gallery (optionally extended with distractors); requested
     ranks beyond the gallery size are dropped.  The inter-class statistic is
     computed on the unextended gallery so that it stays comparable across
-    runs.  Every gallery and probe sample is mapped through the network once.
+    runs.  The gallery, the probes and the test rows the pairs index are each embedded once.
     """
     conf = EvalConfig(**options)
     part = gallery_probe_partition(test_ds, single_image_gallery=True)
@@ -422,8 +420,10 @@ def evaluate_model(
     curve = _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids)
     accuracies = {k: rank_k_accuracy(curve, k) for k in conf.ranks if k <= len(curve.values)}
 
-    pairs = sample_verification_pairs(test_ds, conf.verification_pairs, pair_seed)
-    verification = gar_at_far(verification_scores(pairs, params), conf.target_fars)
+    pairs = _pair_rows(test_ds, conf.verification_pairs, pair_seed)
+    rows = _forward_rows(params, [s.embedding for s in test_ds.all_samples()])
+    genuine, imposter = (tuple(_distances(rows[p[:, 0]], rows[p[:, 1]]).tolist()) for p in pairs)
+    verification = gar_at_far(VerificationReport(genuine, imposter), conf.target_fars)
 
     # extend_gallery appends distractors, so the base gallery leads.
     base = len(part.gallery)

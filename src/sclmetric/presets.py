@@ -14,7 +14,9 @@ Two synthetic-data difficulty levels and one training regime:
 
 The reference fine-tuning regime (Adam, lr 3e-6, 30 epochs, batch 50) is the
 :class:`~sclmetric.training.TrainConfig` defaults; adapting an already-trained
-backbone also sets ``freeze=1``.
+backbone also sets ``freeze=1``.  No command or function here takes initial
+parameters: training starts from :func:`~sclmetric.model.init_model`, so
+``freeze=1`` freezes a randomly initialized first layer.
 """
 
 from __future__ import annotations

@@ -16,9 +16,11 @@ returned parameters bit-exactly, and a frozen layer prefix never changes.
 The :class:`TrainConfig` defaults are the reference regime, learning rate
 3e-6 over 30 epochs, for fine-tuning a large pretrained backbone; that
 regime also freezes the first layer (``freeze=1``), while the default
-trains every layer.  :func:`sclmetric.presets.synthetic_regime` (1e-3,
-120 epochs) is sized so a fresh small network visibly learns on generated
-data.
+trains every layer.  :func:`train` always starts from
+:func:`sclmetric.model.init_model` and takes no initial parameters, so
+``freeze=1`` here freezes a randomly initialized first layer.
+:func:`sclmetric.presets.synthetic_regime` (1e-3, 120 epochs) is sized so a
+fresh small network visibly learns on generated data.
 
 The per-epoch log is exported as CSV with columns
 ``epoch,sum_loss,mean_genuine,mean_imposter,seconds``.  For triplet runs,
@@ -85,7 +87,9 @@ def adam_step(params: model.ModelParams, grads, state: AdamState, lr: float):
 class TrainConfig:
     """Everything the training loop needs.  The defaults are the reference
     fine-tuning regime, except ``freeze``: that regime freezes the first layer
-    of a pretrained backbone, while a fresh network trains every layer."""
+    of a pretrained backbone, while a fresh network trains every layer.
+    Training starts from ``model.init_model``, so ``freeze=1`` freezes a
+    randomly initialized first layer."""
 
     loss: str = "scl"
     learning_rate: float = 3e-6
@@ -172,7 +176,7 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
     Architecture is ``dataset dim -> cfg.hidden_dims``; the first
     ``cfg.freeze`` layers stay bit-identical to their initialization.
     Raises :class:`NumericError` with a diagnostic if a batch loss goes
-    non-finite.
+    non-finite, or if the final Adam step leaves a parameter non-finite.
     """
     params = model.init_model([ds_train.dimension, *cfg.hidden_dims], cfg.seed)
     adam = AdamState.for_model(params)
@@ -209,6 +213,10 @@ def train(ds_train: Dataset, cfg: TrainConfig) -> tuple[model.ModelParams, Train
         if cfg.loss == "tl":  # every triplet is label 0: both columns carry the overall mean
             means[1] = means[0]
         entries.append(EpochStats(epoch, sums[0] + sums[1], *means, time.perf_counter() - started))
+    bad = np.flatnonzero(~np.isfinite(params.vector))
+    if len(bad):
+        i = bad[0]
+        raise NumericError(f"non-finite parameter {params.vector[i]} at index {i} after training (loss={cfg.loss})")
     return params, TrainLog(tuple(entries))
 
 

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sclmetric import model
+from sclmetric import model, presets
 from sclmetric.cli import main
-from sclmetric.dataset import SplitSpec, load_embeddings, subject_split
+from sclmetric.dataset import SplitSpec, generate_synthetic, load_embeddings, save_embeddings, subject_split
 from sclmetric.errors import ConfigError, DataError, NumericError, SclMetricError
 
 SMALL_SYNTH = {
@@ -416,6 +416,55 @@ class TestCompare:
                 composed = single["repetitions"][0]["rank_accuracies"]["1"]
                 monolith = compare["losses"][loss]["repetitions"][rep]["rank_accuracies"]["1"]
                 assert composed == monolith
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergedModel:
+    """A run whose parameters or distances go non-finite exits 4 and writes nothing."""
+
+    @staticmethod
+    def assert_numeric_error(rc, capsys, out, message):
+        assert rc == 4
+        assert capsys.readouterr().err == f"numeric error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.fixture
+    def exploding(self, tmp_path):
+        """6 subjects in 4-d, and a learning rate whose first Adam step overflows."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "synth": {"n_subjects": 6, "dim": 4, "n_non_injured": 2, "n_injured": 3},
+            "train": {"epochs": 1, "batch_size": 1000, "hidden_dims": [4], "learning_rate": 1e308},
+        }), encoding="utf-8")
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "synth")]) == 0
+        return str(path), str(tmp_path / "synth" / "dataset.csv")
+
+    def test_train_exit_4(self, tmp_path, exploding, capsys):
+        cfg, data = exploding
+        capsys.readouterr()
+        rc = main(["train", data, "--config", cfg, "--out", str(tmp_path / "x")])
+        message = "non-finite parameter -inf at index 0 after training (loss=scl)"
+        self.assert_numeric_error(rc, capsys, tmp_path / "x", message)
+
+    def test_compare_exit_4(self, tmp_path, exploding, capsys):
+        cfg, data = exploding
+        capsys.readouterr()
+        rc = main(["compare", data, "--config", cfg, "--out", str(tmp_path / "x")])
+        message = "non-finite parameter inf at index 0 after training (loss=cl)"  # cl trains first
+        self.assert_numeric_error(rc, capsys, tmp_path / "x", message)
+
+    def test_eval_of_overflowing_model_exit_4(self, tmp_path, capsys):
+        data = tmp_path / "hard.csv"
+        save_embeddings(generate_synthetic(presets.hard_synth_config(0)), data)
+        m = model.init_model([16, 32, 16], 0)
+        vector, last = m.vector.copy(), m.layers[-1]
+        vector[-last.bias.size - last.weight.size : -last.bias.size] *= 1e155
+        ckpt = tmp_path / "huge.ckpt"
+        model.save_checkpoint(m.with_vector(vector), {}, ckpt)
+        capsys.readouterr()
+        rc = main(["eval", str(ckpt), str(data), "--repetitions", "1", "--out", str(tmp_path / "x")])
+        message = "non-finite distance: an embedding is not finite or a squared distance overflows"
+        self.assert_numeric_error(rc, capsys, tmp_path / "x", message)
 
 
 class TestBlasThreads:

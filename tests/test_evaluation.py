@@ -24,8 +24,9 @@ from sclmetric.dataset import (
     SynthConfig,
     generate_synthetic,
     gallery_probe_partition,
+    subject_split,
 )
-from sclmetric.errors import ConfigError, DataError, DimensionMismatchError, ProtocolError
+from sclmetric.errors import ConfigError, DataError, DimensionMismatchError, NumericError, ProtocolError
 from sclmetric.evaluation import (
     CmcCurve,
     GarFarEntry,
@@ -39,9 +40,7 @@ from sclmetric.evaluation import (
     mean_inter_class_distance,
     rank_k_accuracy,
     repeated_evaluation,
-    verification_scores,
 )
-from sclmetric.mining import ContrastivePair
 
 from helpers import loop_sum
 
@@ -202,45 +201,6 @@ class TestRankK:
 
 
 # --- verification ------------------------------------------------------------
-
-
-def make_pair(sid1, sid2, e1, e2):
-    first = Sample(sid1, Subclass.NON_INJURED, 0, e1)
-    second = Sample(sid2, Subclass.INJURED, 0, e2)
-    return ContrastivePair(first, second, 0 if sid1 == sid2 else 1)
-
-
-class TestVerificationScores:
-    def test_identical_embeddings_distance_zero(self):
-        m = model.identity_model(2)
-        pair = make_pair(0, 0, [1.0, 2.0], [1.0, 2.0])
-        report = verification_scores([pair], m)
-        assert report.genuine_scores == (0.0,)
-
-    def test_counts_match_labels(self):
-        m = model.identity_model(2)
-        pairs = [
-            make_pair(0, 0, [0.0, 0.0], [1.0, 0.0]),
-            make_pair(0, 1, [0.0, 0.0], [2.0, 0.0]),
-            make_pair(1, 1, [0.0, 0.0], [3.0, 0.0]),
-        ]
-        report = verification_scores(pairs, m)
-        assert len(report.genuine_scores) == 2
-        assert len(report.imposter_scores) == 1
-
-    def test_distances_match_recomputation(self):
-        rng = np.random.default_rng(9)
-        m = model.identity_model(4)
-        pairs = []
-        expected = []
-        for k in range(30):
-            e1, e2 = rng.normal(size=(2, 4))
-            sid2 = k % 3
-            pairs.append(make_pair(0, sid2, e1, e2))
-            expected.append((0 if sid2 == 0 else 1, oracle_distance(e1, e2)))
-        report = verification_scores(pairs, m)
-        assert list(report.genuine_scores) == [d for l, d in expected if l == 0]
-        assert list(report.imposter_scores) == [d for l, d in expected if l == 1]
 
 
 class TestGarAtFar:
@@ -406,7 +366,6 @@ class TestDocumentedErrors:
             ),
             (lambda: cmc_curve([]), ProtocolError, "cmc_curve needs at least one probe ranking"),
             (lambda: cmc_curve([(0, [0, 1]), (1, [1])]), ProtocolError, "ranked lists cover differently sized galleries"),
-            (lambda: verification_scores([], None), ProtocolError, "verification needs at least one pair"),
             (
                 lambda: evaluation.sample_verification_pairs(easy_test_partition()[0], 0, seed=0),
                 ProtocolError,
@@ -436,7 +395,7 @@ class TestDocumentedErrors:
             ],
         ],
         ids=[
-            "empty-cmc", "ragged-gallery", "no-rankings", "ragged-rankings", "no-pairs",
+            "empty-cmc", "ragged-gallery", "no-rankings", "ragged-rankings",
             "zero-pairs-per-label", "no-subject-with-both", "nothing-to-aggregate", "repeated-distractor",
             *[f"no-inter-class-{side}-{norm}" for side in ("gallery", "probes") for norm in ("normalized", "raw")],
         ],
@@ -610,6 +569,40 @@ class TestEvaluateModel:
         distractors = [(1000 + k, np.random.default_rng(k).normal(size=16)) for k in range(10)]
         res = evaluate_model(m, ds, distractors=distractors, verification_pairs=5)
         assert res.gallery_size == ds.n_subjects + 10
+
+    def test_network_embeds_gallery_probes_and_test_rows_once(self, monkeypatch):
+        ds = generate_synthetic(presets.easy_synth_config())
+        m = model.init_model([16, 8], seed=0)
+        distractors = [(1000 + k, np.random.default_rng(k).normal(size=16)) for k in range(10)]
+        rows = []
+        forward = model.forward
+
+        def counting_forward(params, x, *args, **kwargs):
+            rows.append(len(x))
+            return forward(params, x, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        evaluate_model(m, ds, distractors=distractors)
+        part = gallery_probe_partition(ds, single_image_gallery=True)
+        assert sum(rows) == len(part.gallery) + len(distractors) + len(part.probe) + len(ds.all_samples())
+
+    @staticmethod
+    def diverged(kind):
+        """The hard preset's untrained 16-32-16 model with its last layer broken."""
+        m = model.init_model([16, 32, 16], seed=0)
+        vector, last = m.vector.copy(), m.layers[-1]
+        if kind == "huge-weights":  # finite outputs whose squared distances overflow
+            vector[-last.bias.size - last.weight.size : -last.bias.size] *= 1e155
+        else:
+            vector[-1] = {"nan-bias": np.nan, "inf-bias": np.inf}[kind]
+        return m.with_vector(vector)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["nan-bias", "inf-bias", "huge-weights"])
+    def test_diverged_model_is_a_numeric_error(self, kind):
+        _, test_ds = subject_split(generate_synthetic(presets.hard_synth_config(0)), SplitSpec(), 0)
+        with pytest.raises(NumericError, match="^non-finite distance"):
+            evaluate_model(self.diverged(kind), test_ds)
 
 
 
