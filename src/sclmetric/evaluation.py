@@ -10,10 +10,16 @@ subject, and reduces them to their minimum distance.
 Every distance comes from one matrix kernel, :func:`_distances`, the
 square root of :func:`sclmetric.losses.squared_distances` (left-to-right
 float64 accumulation over the feature axis, the rule of
-:func:`sclmetric.losses.squared_euclidean`).  It serves the (probe,
-gallery) block for identification, the (gallery, probe) block for the
-inter-class statistic, the paired rows of verification, and the row norms
-of normalization, computing large blocks a fixed number of rows at a time.
+:func:`sclmetric.losses.squared_euclidean`).  It serves the (gallery,
+probe) block for the inter-class statistic, the paired rows of
+verification, the row norms of normalization, and identification,
+computing large blocks a fixed number of rows at a time.  Identification
+only needs each gallery column's order against the probe's true column,
+so a BLAS estimate with a certified error bound decides most of those
+comparisons (:func:`_screened_ranks`), and the kernel computes each
+probe's true distance and every comparison the bound leaves open.  Only
+counts leave the estimate, so the ranks do not depend on the BLAS build or
+its thread count.
 Each sample list is embedded by :func:`sclmetric.model.forward` in 512-row chunks.
 
 Deterministic tie/ordering contracts (tests hold independent scalar
@@ -62,6 +68,10 @@ from .losses import ordered_sum, squared_distances
 # Distance blocks hold at most this many float64 entries (1 MiB); larger
 # cross blocks are computed a slice of rows at a time.
 _BLOCK_ELEMENTS = 1 << 17
+# The unit roundoff of float64, and the squared norm above which an
+# identification block is ranked exactly, since its BLAS estimate could overflow.
+_UNIT = 2.0**-53
+_NORM_LIMIT = 2.0**1000
 
 
 @dataclass(frozen=True)
@@ -257,20 +267,75 @@ def cmc_curve(rankings) -> CmcCurve:
 
 
 def _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids) -> CmcCurve:
-    """The CMC of every probe, ranks counted per block, against a gallery that
-    holds one image per subject and enrolls every probe's subject."""
+    """The CMC of every probe, ranks counted per block of probes, against a
+    gallery that holds one image per subject and enrolls every probe's subject.
+
+    A block is ranked by :func:`_screened_ranks` when every squared norm is
+    at most 2^1000, which keeps every squared distance below 2^1003, and
+    otherwise exactly, which raises :class:`NumericError` on a non-finite
+    distance."""
     if len(probe_emb) == 0:
         raise ProtocolError("no test subject has both intact and injured samples, so there is no probe")
     order = np.argsort(gallery_sids)
-    true_col = np.searchsorted(gallery_sids[order], probe_sids)[:, None]
-    columns = np.arange(len(order))
+    gallery = gallery_emb[order]
+    true_col = np.searchsorted(gallery_sids[order], probe_sids)
+    # A non-finite row makes these non-finite and sends its block to the
+    # exact path, which gives the warnings and the error.
+    with np.errstate(all="ignore"):
+        e_true = squared_distances(probe_emb, gallery[true_col])
+        p_norms, g_norms = (np.einsum("ij,ij->i", x, x) for x in (probe_emb, gallery))
+    screen = bool((g_norms <= _NORM_LIMIT).all())
+    step = max(1, _BLOCK_ELEMENTS // len(gallery))
     ranks = []
-    for start, d in _cross_blocks(probe_emb, gallery_emb[order]):
-        col = true_col[start : start + len(d)]
-        d_true = np.take_along_axis(d, col, axis=1)
-        ranks.append(np.count_nonzero((d < d_true) | ((d == d_true) & (columns < col)), axis=1))
-    hits = np.bincount(np.concatenate(ranks), minlength=len(order)).tolist()
+    for start in range(0, len(probe_emb), step):
+        block = slice(start, start + step)
+        probes, col = probe_emb[block], true_col[block]
+        if screen and (p_norms[block] <= _NORM_LIMIT).all():
+            ranks.append(_screened_ranks(probes, gallery, col, e_true[block], p_norms[block], g_norms))
+        else:
+            d = _distances(probes[:, None, :], gallery[None, :, :])
+            d_true = np.take_along_axis(d, col[:, None], axis=1)
+            ranks.append(np.count_nonzero(_precedes(d, d_true, np.arange(len(gallery)), col[:, None]), axis=1))
+    hits = np.bincount(np.concatenate(ranks), minlength=len(gallery)).tolist()
     return _curve(hits, len(probe_emb), 0)
+
+
+def _precedes(d, d_true, columns, true_columns) -> np.ndarray:
+    """Whether each gallery column ranks before the probe's true column, by
+    ``(distance, subject_id)``; the gallery is sorted by subject id."""
+    return (d < d_true) | ((d == d_true) & (columns < true_columns))
+
+
+def _screened_ranks(probes, gallery, col, e_true, p_norms, g_norms) -> np.ndarray:
+    """Each probe's rank, with most comparisons decided by the BLAS estimate
+    ``s = |p|^2 + |g|^2 - 2 p.g`` of each squared distance ``e``.
+
+    For any summation order, FMA included, a float64 inner product of length
+    n is off by at most gamma_n |x|.|y|, with gamma_n = nu / (1 - nu) and
+    u = 2^-53 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., section 3.1).  That bounds both ``s`` and the left-to-right
+    ``e`` within about 4 gamma_(d+2) (|p|^2 + |g|^2) of the real distance;
+    ``bound`` allows 16 gamma_(d+8) of it, plus ``tiny`` for underflow.  A
+    column is certainly before the true one when ``s + bound`` lies below
+    ``e_true (1 - 16u) - tiny``, and certainly after it when ``s - bound``
+    lies above ``e_true (1 + 16u) + tiny``.  The 16u band keeps the two
+    square roots apart, since unequal squares can round to one root, which
+    is a tie the column breaks.  Every other entry, the true column among
+    them, is computed exactly, so only counts leave the estimate.
+    """
+    n = gallery.shape[1] + 8
+    tiny = n * 2.0**-1020
+    bound = p_norms[:, None] + g_norms
+    s = np.matmul(probes, gallery.T)
+    s *= -2.0
+    s += bound
+    bound *= 16.0 * n * _UNIT / (1.0 - n * _UNIT)
+    bound += tiny
+    before = s + bound < (e_true * (1.0 - 16.0 * _UNIT) - tiny)[:, None]
+    undecided = ~before & (s - bound <= (e_true * (1.0 + 16.0 * _UNIT) + tiny)[:, None])
+    rows, cols = np.nonzero(undecided)
+    exact = _precedes(_distances(probes[rows], gallery[cols]), np.sqrt(e_true)[rows], cols, col[rows])
+    return np.count_nonzero(before, axis=1) + np.bincount(rows[exact], minlength=len(probes))
 
 
 def rank_k_accuracy(curve: CmcCurve, k: int) -> float:

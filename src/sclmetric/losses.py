@@ -91,7 +91,8 @@ def squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Small blocks square every difference at once and add them up with the
     strictly sequential ``np.add.accumulate``; large blocks loop over the
-    features with in-place ufuncs to bound memory.
+    features with in-place ufuncs to bound memory, on feature-major copies
+    of both operands so that each feature's entries are contiguous.
     """
     if u.shape[-1] != v.shape[-1]:
         raise DimensionMismatchError(f"embedding dimensions differ: {u.shape[-1]} vs {v.shape[-1]}")
@@ -100,10 +101,11 @@ def squared_distances(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         squares = u - v
         np.multiply(squares, squares, out=squares)
         return np.add.accumulate(squares, axis=-1)[..., -1]
+    u, v = (np.ascontiguousarray(np.moveaxis(x, -1, 0)) for x in (u, v))
     total = np.zeros(shape)
     diff = np.empty(shape)
-    for k in range(u.shape[-1]):
-        np.subtract(u[..., k], v[..., k], out=diff)
+    for k in range(len(u)):
+        np.subtract(u[k], v[k], out=diff)
         np.multiply(diff, diff, out=diff)
         np.add(total, diff, out=total)
     return total

@@ -13,6 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sclmetric import evaluation, losses, model, presets, reporting, training
 from sclmetric.dataset import (
@@ -42,6 +44,7 @@ from sclmetric.evaluation import (
     repeated_evaluation,
 )
 
+import exact_identification
 from helpers import loop_sum
 
 
@@ -750,3 +753,83 @@ class TestEvaluateModelDifferential:
             gallery.append(gallery[0])  # an exact duplicate image
             probe = rng.integers(-2, 3, size=dim).astype(float)
             assert identify(probe, gallery) == oracle_identify(probe, gallery)
+
+
+# --- screened identification ranks ------------------------------------------------
+
+
+@st.composite
+def identification_inputs(draw):
+    """Probe and gallery matrices (enrolled subjects, then distractors) built to
+    defeat a loose rank screen: exact ties, duplicate images under ids on both
+    sides of the true id, cancellation at a 1e150 offset, mixed and subnormal
+    scales, and squared norms above 2^1000, at d = 1 to 512."""
+    family = draw(st.sampled_from(["normal", "grid", "offset", "scales", "subnormal", "underflow", "huge"]))
+    dim = draw(st.sampled_from([1, 2, 3, 8, 512]))
+    n_enrolled, n_distractors, n_probes = draw(st.integers(1, 8)), draw(st.integers(0, 4)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = n_enrolled + n_distractors + n_probes
+    grid = rng.integers(-2, 3, size=(rows, dim)).astype(float)
+    x = {
+        "normal": lambda: rng.normal(size=(rows, dim)),
+        "grid": lambda: grid,
+        "offset": lambda: 1e150 * (1.0 + 1e-3 * grid),
+        "scales": lambda: rng.normal(size=(rows, dim)) * 10.0 ** rng.integers(-150, 150, size=(rows, 1)),
+        "subnormal": lambda: grid * 10.0 ** rng.choice([-323.0, -310.0, -160.0], size=(rows, 1)),
+        "underflow": lambda: rng.normal(size=(rows, dim)) * 1e-161,  # squares round to few subnormal bits
+        "huge": lambda: rng.normal(size=(rows, dim)) * 1e151,
+    }[family]()
+    for _ in range(draw(st.integers(0, 4))):  # duplicate images, gallery or probe
+        x[rng.integers(rows)] = x[rng.integers(rows)]
+    gallery_sids = rng.permutation(100)[: n_enrolled + n_distractors]
+    probe_sids = rng.choice(gallery_sids[:n_enrolled], size=n_probes)
+    return x[-n_probes:], probe_sids, x[:-n_probes], gallery_sids
+
+
+class TestScreenedIdentification:
+    """_identification_cmc, which decides most comparisons from a BLAS
+    estimate, equals the exact ranker it replaced (tests/exact_identification.py)
+    on every input, at block sizes that split the probes every way."""
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @settings(max_examples=80, deadline=None)
+    @given(inputs=identification_inputs())
+    def test_matches_the_exact_ranker(self, block, inputs):
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(evaluation, "_BLOCK_ELEMENTS", block)
+            got = evaluation._identification_cmc(*inputs)
+        assert got == exact_identification.identification_cmc(*inputs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("where", ["probe", "gallery", "distractor"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e200])
+    def test_a_non_finite_distance_is_a_numeric_error(self, monkeypatch, block, where, value):
+        if block is not None:
+            monkeypatch.setattr(evaluation, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(3)
+        probes, gallery = rng.normal(size=(9, 4)), rng.normal(size=(6, 4))  # gallery rows 4, 5 are distractors
+        probe_sids, gallery_sids = rng.integers(0, 4, size=9), np.arange(6)
+        row = {"probe": probes[5], "gallery": gallery[2], "distractor": gallery[5]}[where]
+        row[1] = value  # 1e200 is finite, but its squared distances overflow
+        inputs = (probes, probe_sids, gallery, gallery_sids)
+        for rank in (evaluation._identification_cmc, exact_identification.identification_cmc):
+            with pytest.raises(NumericError, match="^non-finite distance"):
+                rank(*inputs)
+
+    def test_only_the_true_columns_are_computed_exactly_on_separated_data(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        probes, gallery = rng.normal(size=(300, 32)), rng.normal(size=(40, 32))
+        probe_sids, gallery_sids = rng.integers(0, 40, size=300), rng.permutation(40)
+        exact_rows = []
+        distances = evaluation._distances
+
+        def counting(a, b):
+            exact_rows.append(math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])))
+            return distances(a, b)
+
+        monkeypatch.setattr(evaluation, "_distances", counting)
+        got = evaluation._identification_cmc(probes, probe_sids, gallery, gallery_sids)
+        assert sum(exact_rows) == 300
+        assert got == exact_identification.identification_cmc(probes, probe_sids, gallery, gallery_sids)

@@ -60,6 +60,25 @@ class TestSquaredEuclidean:
             reference = loop_sum((a - b) * (a - b) for a, b in zip(ub[index].tolist(), vb[index].tolist()))
             assert got[index] == reference
 
+    @pytest.mark.parametrize("case", ["swapped-broadcast", "equal-2d", "d=1", "transposed", "row-slice"])
+    def test_feature_major_large_path_matches_scalar_loop(self, case):
+        # Every case has more than 4096 differences, so it takes the feature loop
+        # over feature-major copies, whatever the operands' shapes and strides.
+        rng = np.random.default_rng(17)
+        u, v = {
+            "swapped-broadcast": lambda: (rng.normal(size=(1, 30, 9)), rng.normal(size=(40, 1, 9))),
+            "equal-2d": lambda: (rng.normal(size=(600, 16)), rng.normal(size=(600, 16))),
+            "d=1": lambda: (rng.normal(size=(70, 1, 1)), rng.normal(size=(1, 80, 1))),
+            "transposed": lambda: (rng.normal(size=(16, 600)).T, rng.normal(size=(600, 16))),
+            "row-slice": lambda: (rng.normal(size=(1200, 16))[::2], rng.normal(size=(1, 16))),
+        }[case]()
+        got = losses.squared_distances(u, v)
+        ub, vb = np.broadcast_arrays(u, v)
+        assert got.shape == ub.shape[:-1] and got.size * u.shape[-1] > 4096
+        for index in np.ndindex(got.shape):
+            reference = loop_sum((a - b) * (a - b) for a, b in zip(ub[index].tolist(), vb[index].tolist()))
+            assert got[index] == reference
+
 
 class TestOrderedSum:
     SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, math.inf, -math.inf, math.nan,
