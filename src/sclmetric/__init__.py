@@ -41,7 +41,6 @@ from .evaluation import (
     cmc_curve,
     evaluate_model,
     extend_gallery,
-    extract_embeddings,
     gar_at_far,
     identify,
     mean_inter_class_distance,

@@ -20,7 +20,8 @@ comparisons (:func:`_screened_ranks`), and the kernel computes each
 probe's true distance and every comparison the bound leaves open.  Only
 counts leave the estimate, so the ranks do not depend on the BLAS build or
 its thread count.
-Each sample list is embedded by :func:`sclmetric.model.forward` in 512-row chunks.
+An evaluation embeds each test row and distractor once, in 512-row chunks of
+:func:`sclmetric.model.forward`; the gallery, probes and pairs index that matrix.
 
 Deterministic tie/ordering contracts (tests hold independent scalar
 implementations to them bit-exactly):
@@ -167,11 +168,6 @@ def _forward_rows(m: model.ModelParams, vectors) -> np.ndarray:
     if not len(x):
         return x
     return np.concatenate([model.forward(m, x[i : i + _FORWARD_CHUNK])[0] for i in range(0, len(x), _FORWARD_CHUNK)])
-
-
-def extract_embeddings(m: model.ModelParams, samples) -> list[np.ndarray]:
-    """Map samples through the network, preserving order."""
-    return list(_forward_rows(m, [s.embedding for s in samples]))
 
 
 def _matrix(vectors) -> np.ndarray:
@@ -472,26 +468,28 @@ def evaluate_model(
     single-image gallery (optionally extended with distractors); requested
     ranks beyond the gallery size are dropped.  The inter-class statistic is
     computed on the unextended gallery so that it stays comparable across
-    runs.  The gallery, the probes and the test rows the pairs index are each embedded once.
+    runs.  Each test row and distractor is embedded once, into the matrix every stage indexes.
     """
     conf = EvalConfig(**options)
     part = gallery_probe_partition(test_ds, single_image_gallery=True)
     eval_part = extend_gallery(part, distractors) if distractors else part
+    # The partition holds the test set's own samples; distractors follow the base gallery.
+    base = len(part.gallery)
+    samples = test_ds.all_samples() + eval_part.gallery[base:]
+    rows = _forward_rows(params, [s.embedding for s in samples])
+    at = {id(s): i for i, s in enumerate(samples)}
     gallery_sids = np.array([s.subject_id for s in eval_part.gallery])
     probe_sids = np.array([s.subject_id for s in part.probe])
-    gallery_emb = _forward_rows(params, [s.embedding for s in eval_part.gallery])
-    probe_emb = _forward_rows(params, [s.embedding for s in part.probe])
+    gallery_emb = rows[[at[id(s)] for s in eval_part.gallery]]
+    probe_emb = rows[[at[id(s)] for s in part.probe]]
 
     curve = _identification_cmc(probe_emb, probe_sids, gallery_emb, gallery_sids)
     accuracies = {k: rank_k_accuracy(curve, k) for k in conf.ranks if k <= len(curve.values)}
 
     pairs = _pair_rows(test_ds, conf.verification_pairs, pair_seed)
-    rows = _forward_rows(params, [s.embedding for s in test_ds.all_samples()])
     genuine, imposter = (tuple(_distances(rows[p[:, 0]], rows[p[:, 1]]).tolist()) for p in pairs)
     verification = gar_at_far(VerificationReport(genuine, imposter), conf.target_fars)
 
-    # extend_gallery appends distractors, so the base gallery leads.
-    base = len(part.gallery)
     icd = _inter_class_mean(gallery_sids[:base], gallery_emb[:base], probe_sids, probe_emb, conf.normalize)
 
     return RepetitionResult(
@@ -539,14 +537,7 @@ def aggregate_results(results, conf: EvalConfig, *, extended_gallery: bool = Fal
     )
 
 
-def repeated_evaluation(
-    ds: Dataset,
-    split: SplitSpec,
-    train_cfg: training.TrainConfig,
-    *,
-    distractors=None,
-    **options,
-) -> EvalReport:
+def repeated_evaluation(ds: Dataset, split: SplitSpec, train_cfg: training.TrainConfig, **options) -> EvalReport:
     """The repeated random sub-sampling protocol, end to end.
 
     ``options`` are :class:`EvalConfig` fields, checked before any training.
@@ -560,7 +551,7 @@ def repeated_evaluation(
     def trained(rep: int, train_ds: Dataset) -> model.ModelParams:
         return training.train(train_ds, training.config_for_repetition(train_cfg, rep))[0]
 
-    return evaluate_repetitions(ds, split, range(split.repetitions), trained, conf, distractors=distractors)
+    return evaluate_repetitions(ds, split, range(split.repetitions), trained, conf)
 
 
 def evaluate_repetitions(

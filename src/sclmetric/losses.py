@@ -157,7 +157,8 @@ def contrastive_loss_rows(x1, x2, labels, margin: float = DEFAULT_CL_MARGIN):
     """Contrastive loss of each row pair; returns the values and the
     gradient rows ``(g1, g2)``.  The squared hinge is ``np.float_power``, which
     calls C ``pow`` as Python's ``float ** 2`` does; ``t * t`` and ``np.power``
-    can round differently."""
+    can round differently.  The push gradient is finite for finite inputs and
+    margins up to 1e150."""
     d2 = squared_distances(x1, x2)
     dist = np.sqrt(d2)
     diff = x1 - x2
@@ -166,8 +167,13 @@ def contrastive_loss_rows(x1, x2, labels, margin: float = DEFAULT_CL_MARGIN):
     slack = margin - dist
     squared = np.float_power(slack, 2.0, out=np.zeros(len(slack)), where=hinge)
     pull = hinge & (dist != 0.0)
-    coef = np.divide(-slack, dist, out=np.zeros(len(dist)), where=pull)
+    with np.errstate(over="ignore"):
+        coef = np.divide(-slack, dist, out=np.zeros(len(dist)), where=pull)
+    over = np.isinf(coef)
+    coef[over] = 0.0
     push = np.where(pull[:, None], coef[:, None] * diff, 0.0)
+    if over.any():  # slack / dist overflowed, but no entry of diff / dist is much above 1
+        push[over] = -slack[over, None] * (diff[over] / dist[over, None])
     rows = genuine[:, None]
     return np.where(genuine, 0.5 * d2, 0.5 * squared), (np.where(rows, diff, push), np.where(rows, -diff, -push))
 
@@ -231,6 +237,8 @@ def contrastive_loss(x1, x2, label: int, margin: float = DEFAULT_CL_MARGIN) -> L
     Genuine (label 0): ``D^2 / 2``.  Imposter (label 1):
     ``max(0, margin - D)^2 / 2``.  The imposter gradient is singular at
     D = 0 (coincident points); that point is mapped to a zero gradient.
+    Elsewhere it is finite for finite inputs and margins up to 1e150, even
+    where ``(margin - D) / D`` overflows.
     """
     if margin <= 0:
         raise ConfigError(f"contrastive margin must be > 0, got {margin}")

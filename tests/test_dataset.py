@@ -405,6 +405,14 @@ class TestDatasetInvariants:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             build()
 
+    def test_repr_and_comparison_with_foreign_objects(self):
+        s = Sample(3, Subclass.INJURED, 2, [0.0, 1.0])
+        assert repr(s) == "Sample(subject=3, I2, d=2)"
+        record = SubjectRecord(3, (), (s,))
+        for value in (s, record, Dataset(2, (record,))):
+            assert value.__eq__(object()) is NotImplemented
+            assert value != "x"
+
     def test_duplicate_subject_rejected(self):
         r = SubjectRecord(0, (), (_sample(0, Subclass.INJURED, 0, [1.0]),))
         with pytest.raises(DataError):

@@ -36,7 +36,6 @@ from sclmetric.evaluation import (
     cmc_curve,
     evaluate_model,
     extend_gallery,
-    extract_embeddings,
     gar_at_far,
     identify,
     mean_inter_class_distance,
@@ -411,14 +410,14 @@ class TestDocumentedErrors:
 # --- embedding extraction ------------------------------------------------------
 
 
-class TestExtractEmbeddings:
+class TestForwardRows:
     def test_empty(self):
-        assert extract_embeddings(model.identity_model(3), []) == []
+        assert evaluation._forward_rows(model.identity_model(3), []).size == 0
 
     def test_identity_model(self):
         ds = generate_synthetic(presets.easy_synth_config())
         samples = ds.all_samples()[:5]
-        embs = extract_embeddings(model.identity_model(16), samples)
+        embs = evaluation._forward_rows(model.identity_model(16), [s.embedding for s in samples])
         for s, e in zip(samples, embs):
             assert np.array_equal(e, s.embedding)
 
@@ -426,7 +425,7 @@ class TestExtractEmbeddings:
         ds = generate_synthetic(presets.easy_synth_config())
         m = model.init_model([16, 8, 4], seed=1)
         samples = ds.all_samples()[:10]
-        batch = extract_embeddings(m, samples)
+        batch = evaluation._forward_rows(m, [s.embedding for s in samples])
         for s, e in zip(samples, batch):
             single, _ = model.forward(m, s.embedding)
             assert np.array_equal(e, single)
@@ -435,10 +434,10 @@ class TestExtractEmbeddings:
         ds = generate_synthetic(replace(presets.easy_synth_config(), n_subjects=129))
         m = model.init_model([16, 8, 4], seed=1)
         samples = ds.all_samples()[:1027]  # two 512-row chunks and three rows
-        batch = extract_embeddings(m, samples)
+        batch = evaluation._forward_rows(m, [s.embedding for s in samples])
         assert len(batch) == len(samples) == 1027
         single = np.array([model.forward(m, s.embedding)[0] for s in samples])
-        assert np.array(batch).tobytes() == single.tobytes()
+        assert batch.tobytes() == single.tobytes()
 
 
 # --- repeated evaluation -------------------------------------------------------
@@ -573,7 +572,7 @@ class TestEvaluateModel:
         res = evaluate_model(m, ds, distractors=distractors, verification_pairs=5)
         assert res.gallery_size == ds.n_subjects + 10
 
-    def test_network_embeds_gallery_probes_and_test_rows_once(self, monkeypatch):
+    def test_network_embeds_each_test_row_and_distractor_once(self, monkeypatch):
         ds = generate_synthetic(presets.easy_synth_config())
         m = model.init_model([16, 8], seed=0)
         distractors = [(1000 + k, np.random.default_rng(k).normal(size=16)) for k in range(10)]
@@ -586,8 +585,7 @@ class TestEvaluateModel:
 
         monkeypatch.setattr(model, "forward", counting_forward)
         evaluate_model(m, ds, distractors=distractors)
-        part = gallery_probe_partition(ds, single_image_gallery=True)
-        assert sum(rows) == len(part.gallery) + len(distractors) + len(part.probe) + len(ds.all_samples())
+        assert sum(rows) == len(ds.all_samples()) + len(distractors)
 
     @staticmethod
     def diverged(kind):

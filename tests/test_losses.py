@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sclmetric import losses
@@ -312,6 +312,15 @@ class TestContrastiveLoss:
         assert not lv.gradient("a").any()
         assert not lv.gradient("b").any()
 
+    def test_push_stays_finite_where_slack_over_distance_overflows(self):
+        x1, x2, m = [0.0, 0.0], [1e-161, 0.0], 1e150
+        d = math.sqrt(losses.squared_euclidean(x1, x2))
+        assert math.isinf(m / d)
+        lv = losses.contrastive_loss(x1, x2, 1, m)
+        expected = np.array([-(m - d) * ((a - b) / d) for a, b in zip(x1, x2)])
+        assert lv.gradient("a").tobytes() == expected.tobytes()
+        assert lv.gradient("b").tobytes() == (-expected).tobytes()
+
     def test_finite_difference(self):
         rng = np.random.default_rng(37)
         checked = 0
@@ -450,6 +459,7 @@ class TestRowKernels:
         st.floats(5e-324, 1e150),
     )
     @settings(max_examples=200, deadline=None)
+    @example(rows=[(0.0, 0.0, 1e-161, 0.0)], margin=1e150)  # slack / dist overflows
     def test_contrastive_imposter_values_are_python_pow_bits(self, rows, margin):
         x = np.array(rows).reshape(-1, 2, 2)
         x1, x2 = x[:, 0], x[:, 1]

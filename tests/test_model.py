@@ -433,6 +433,7 @@ class TestParameterVector:
         m = init_model([3, 4, 2], seed=1)
         assert m.with_vector(m.vector) == m
         assert m.with_vector(m.vector + 1.0) != m
+        assert m.__eq__(object()) is NotImplemented and m != "x"
         # The same 26 numbers as one 2x12 layer, and with an identity first layer.
         one_layer = model.ModelParams((model.Layer(m.vector[:24].reshape(2, 12), m.vector[24:], "identity"),))
         identity_first = model.ModelParams((model.Layer(m.layers[0].weight, m.layers[0].bias, "identity"), m.layers[1]))
